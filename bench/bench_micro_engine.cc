@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the engine's building blocks (real
 // wall-clock time of the host machine, NOT simulated seconds): slotted-page
-// operations, B+-tree insert/lookup, object encode/decode, handle-table
-// churn and the two-level cache path. These guard the *implementation's*
-// performance; the paper-reproduction binaries measure simulated time.
+// operations and checksums, B+-tree insert/lookup, object encode/decode,
+// handle-table churn and the two-level cache path. These guard the
+// *implementation's* performance; the paper-reproduction binaries measure
+// simulated time.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -127,6 +128,19 @@ void BM_HandleGetUnref(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HandleGetUnref);
+
+// The CRC32 kernel behind every server-cache fill from disk.
+void BM_PageChecksum(benchmark::State& state) {
+  uint8_t buf[kPageSize];
+  Lrand48 rng(11);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Next());
+  StampPageChecksum(buf);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(VerifyPageChecksum(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * kPageChecksumOffset);
+}
+BENCHMARK(BM_PageChecksum);
 
 void BM_DerbyBuildTiny(benchmark::State& state) {
   for (auto _ : state) {

@@ -145,14 +145,13 @@ Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
   auto alias_it = ht_->alias.find(key);
   if (alias_it != ht_->alias.end()) key = alias_it->second;
 
-  auto it = ht_->handles.find(key);
-  if (it != ht_->handles.end()) {
+  if (ObjectHandle* h = ht_->handles.Find(key)) {
     // Already resident: cheap re-reference (no page access needed — the
     // handle caches the object's location and bookkeeping).
     sim_->ChargeHandleLookup();
-    ++it->second->refcount;
-    if (observer_ != nullptr) observer_->OnObjectAccess(it->second->rid);
-    return it->second.get();
+    ++h->refcount;
+    if (observer_ != nullptr) observer_->OnObjectAccess(h->rid);
+    return h;
   }
 
   // Materialize: read the record (this ensures page residency and charges
@@ -164,11 +163,10 @@ Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
   uint64_t canon_key = canonical.Packed();
   if (canon_key != rid.Packed()) {
     ht_->alias[rid.Packed()] = canon_key;
-    auto canon_it = ht_->handles.find(canon_key);
-    if (canon_it != ht_->handles.end()) {
+    if (ObjectHandle* h = ht_->handles.Find(canon_key)) {
       sim_->ChargeHandleLookup();
-      ++canon_it->second->refcount;
-      return canon_it->second.get();
+      ++h->refcount;
+      return h;
     }
   }
 
@@ -178,8 +176,7 @@ Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
   handle->rid = canonical;
   handle->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
   handle->refcount = 1;
-  ObjectHandle* ptr = handle.get();
-  ht_->handles.emplace(canon_key, std::move(handle));
+  ObjectHandle* ptr = ht_->handles.Insert(canon_key, std::move(handle));
   MaybeCollectZombies();
   return ptr;
 }
@@ -195,12 +192,11 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
     auto alias_it = ht_->alias.find(key);
     if (alias_it != ht_->alias.end()) key = alias_it->second;
 
-    auto it = ht_->handles.find(key);
-    if (it != ht_->handles.end()) {
+    if (ObjectHandle* h = ht_->handles.Find(key)) {
       sim_->ChargeHandleLookup();
-      ++it->second->refcount;
-      if (observer_ != nullptr) observer_->OnObjectAccess(it->second->rid);
-      out.push_back(it->second.get());
+      ++h->refcount;
+      if (observer_ != nullptr) observer_->OnObjectAccess(h->rid);
+      out.push_back(h);
       continue;
     }
 
@@ -215,11 +211,10 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
     uint64_t canon_key = canonical.Packed();
     if (canon_key != rid.Packed()) {
       ht_->alias[rid.Packed()] = canon_key;
-      auto canon_it = ht_->handles.find(canon_key);
-      if (canon_it != ht_->handles.end()) {
+      if (ObjectHandle* h = ht_->handles.Find(canon_key)) {
         sim_->ChargeHandleLookup();
-        ++canon_it->second->refcount;
-        out.push_back(canon_it->second.get());
+        ++h->refcount;
+        out.push_back(h);
         continue;
       }
     }
@@ -228,8 +223,7 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
     handle->rid = canonical;
     handle->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
     handle->refcount = 1;
-    out.push_back(handle.get());
-    ht_->handles.emplace(canon_key, std::move(handle));
+    out.push_back(ht_->handles.Insert(canon_key, std::move(handle)));
     ++materialized;
   }
 
@@ -292,9 +286,7 @@ Status ObjectStore::DeleteRecord(const Rid& rid) {
   if (!found) return Status::Corruption("forwarding chain too long");
 
   uint64_t key = canonical.Packed();
-  auto it = ht_->handles.find(key);
-  if (it != ht_->handles.end()) {
-    ht_->handles.erase(it);
+  if (ht_->handles.Erase(key)) {
     sim_->AddHandleMemory(-static_cast<int64_t>(sim_->HandleBytes()));
   }
   // Stale zombie-deque entries for `key` are harmless: collection passes
@@ -312,9 +304,9 @@ void ObjectStore::MaybeCollectZombies() {
   while (!ht_->zombies.empty() && ht_->handles.size() > target) {
     uint64_t key = ht_->zombies.front();
     ht_->zombies.pop_front();
-    auto it = ht_->handles.find(key);
-    if (it != ht_->handles.end() && it->second->refcount == 0) {
-      ht_->handles.erase(it);
+    ObjectHandle* h = ht_->handles.Find(key);
+    if (h != nullptr && h->refcount == 0) {
+      ht_->handles.Erase(key);
       sim_->AddHandleMemory(-static_cast<int64_t>(bytes));
     }
   }
@@ -325,9 +317,9 @@ void ObjectStore::ReleaseZombies() {
   while (!ht_->zombies.empty()) {
     uint64_t key = ht_->zombies.front();
     ht_->zombies.pop_front();
-    auto it = ht_->handles.find(key);
-    if (it != ht_->handles.end() && it->second->refcount == 0) {
-      ht_->handles.erase(it);
+    ObjectHandle* h = ht_->handles.Find(key);
+    if (h != nullptr && h->refcount == 0) {
+      ht_->handles.Erase(key);
       sim_->AddHandleMemory(-static_cast<int64_t>(bytes));
     }
   }

@@ -9,27 +9,44 @@ namespace treebench {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  constexpr Crc32Table() : entries() {
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320. t[0] is the
+// classic byte-at-a-time table; t[k][b] is the CRC register after byte b is
+// followed by k zero bytes, so eight lookups fold eight input bytes at once
+// and yield exactly the byte-at-a-time values.
+struct Crc32Tables {
+  uint32_t t[8][256];
+  constexpr Crc32Tables() : t() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      t[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
     }
   }
 };
 
-constexpr Crc32Table kCrc32Table;
+constexpr Crc32Tables kCrc32Tables;
 
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, uint32_t len) {
+  const auto& t = kCrc32Tables.t;
   uint32_t crc = 0xFFFFFFFFu;
-  for (uint32_t i = 0; i < len; ++i) {
-    crc = kCrc32Table.entries[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  // Bytes are indexed one by one (not loaded as words), so the result does
+  // not depend on host byte order.
+  for (; len >= 8; data += 8, len -= 8) {
+    crc = t[7][(crc ^ data[0]) & 0xFF] ^ t[6][((crc >> 8) ^ data[1]) & 0xFF] ^
+          t[5][((crc >> 16) ^ data[2]) & 0xFF] ^ t[4][(crc >> 24) ^ data[3]] ^
+          t[3][data[4]] ^ t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+  }
+  for (; len > 0; --len, ++data) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -20,7 +20,8 @@ inline constexpr uint32_t kPageSize = 4096;
 /// stale; only disk images are guaranteed coherent.
 inline constexpr uint32_t kPageChecksumOffset = kPageSize - 4;
 
-/// CRC32 (reflected, polynomial 0xEDB88320) over `len` bytes.
+/// CRC32 (reflected, polynomial 0xEDB88320) over `len` bytes, computed
+/// with slicing-by-8; Crc32("123456789", 9) == 0xCBF43926.
 uint32_t Crc32(const uint8_t* data, uint32_t len);
 
 /// Computes the checksum a coherent page image would carry.

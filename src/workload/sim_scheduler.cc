@@ -411,7 +411,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       if (hooks->t != nullptr) {
         hooks->t->query_slices.push_back(
             {/*track=*/hooks->t->num_clients + 1 + hooks->t->num_shards,
-             "recluster", t0, reorg->clock.clock_ns - t0});
+             "recluster", t0, reorg->clock.clock_ns - t0, /*args=*/{}});
       }
       if (hooks->qlog != nullptr) {
         hooks->qlog->AddReorgRound(t0, reorg->clock.clock_ns);
@@ -520,7 +520,7 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
       telemetry::TraceSlice slice{
           /*track=*/id + 1,
           gq.is_update ? "update" : (gq.is_tree ? "tree" : "selection"), t0,
-          t1 - t0};
+          t1 - t0, /*args=*/{}};
       if (hooks->qlog != nullptr) slice.args = telemetry::SliceArgsJson(qrec);
       hooks->t->query_slices.push_back(std::move(slice));
       if (measured && ok) hooks->t->running_latencies.Record(t1 - t0);
@@ -825,10 +825,12 @@ Result<WorkloadReport> RunWorkload(DerbyDb* derby, const WorkloadSpec& spec,
     slo = std::make_unique<telemetry::SloMonitor>(spec.slo_objectives);
   }
 
-  TelemetryHooks hooks{telemetry};
-  hooks.qlog = qlog.get();
-  hooks.slo = slo.get();
-  hooks.stations = &stations;
+  TelemetryHooks hooks{.t = telemetry,
+                       .probe_now = 0,
+                       .qlog = qlog.get(),
+                       .slo = slo.get(),
+                       .stations = &stations,
+                       .admitted_before = {}};
   if (telemetry != nullptr) {
     telemetry->num_clients = spec.num_clients;
     telemetry->num_shards = stations.size();

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/random.h"
+
 namespace treebench {
 namespace {
 
@@ -118,6 +120,66 @@ TEST_F(PageTest, FreeSpaceAccounting) {
   uint32_t before = page_.FreeSpace();
   page_.Insert(Bytes("0123456789")).value();
   EXPECT_EQ(page_.FreeSpace(), before - 10 - Page::kSlotEntrySize);
+}
+
+// Bit-at-a-time CRC32 (reflected, polynomial 0xEDB88320): the definition
+// the table-driven Crc32 must reproduce exactly.
+uint32_t ReferenceCrc32(const uint8_t* data, uint32_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (uint32_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Lrand48 rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.Next() >> 7);
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check), 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // 8 spare bytes in front let every start offset 0..7 read a full buffer;
+  // lengths 0..64 cover the empty input, tail-only inputs and every tail
+  // length behind the 8-byte body.
+  std::vector<uint8_t> buf = RandomBytes(8 + 4100, 42);
+  for (uint32_t offset = 0; offset < 8; ++offset) {
+    const uint8_t* p = buf.data() + offset;
+    for (uint32_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset=" << offset << " len=" << len;
+    }
+    for (uint32_t len : {kPageChecksumOffset, 4100u}) {
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset=" << offset << " len=" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, StampedPageVerifiesAndEveryByteFlipIsDetected) {
+  std::vector<uint8_t> page = RandomBytes(kPageSize, 7);
+  StampPageChecksum(page.data());
+  ASSERT_TRUE(VerifyPageChecksum(page.data()));
+  EXPECT_EQ(PageChecksum(page.data()),
+            ReferenceCrc32(page.data(), kPageChecksumOffset));
+  // Any single-byte change, in the body or in the trailer itself, must be
+  // caught (a CRC detects every error burst of 32 bits or less).
+  for (uint32_t i = 0; i < kPageSize; ++i) {
+    page[i] ^= 0x5A;
+    EXPECT_FALSE(VerifyPageChecksum(page.data())) << "byte " << i;
+    page[i] ^= 0x5A;
+  }
+  EXPECT_TRUE(VerifyPageChecksum(page.data()));
 }
 
 }  // namespace

@@ -23,14 +23,10 @@
 // cross-cell checks (result-set identity vs B=1, the 3x RPC gate) happen
 // at merge time in submission order (docs/parallel_harness.md).
 //
-// Extra flags beyond the common --scale/--csv/--stats-json and --jobs=N:
-//   --summary-json=PATH  flat {"key": number} summary — the format
-//                        bench/check_regression diffs against
-//                        bench/baselines/batch_ablation.json
-//   --scale=0            smoke mode: tiny database (scale 64) — the CI
-//                        config; the 3x check still holds there.
+// Flags read (bench/common/bench_util.h): --jobs, --stats-json, and
+// --summary-json (gated against bench/baselines/batch_ablation.json).
+// Smoke (--scale=0) is scale 64 only; the 3x check still holds there.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,37 +40,6 @@
 namespace treebench::bench {
 namespace {
 
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  std::string summary_json;  // --summary-json=PATH
-};
-
-// The common ParseArgs clamps --scale to >= 1, so smoke mode (--scale=0)
-// must be detected from raw argv.
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
-
-bool WriteFileOrWarn(const std::string& path, const std::string& content) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
-
 /// Out-slot of one (clustering x batch) cell.
 struct BatchOut {
   bool ok = false;
@@ -85,16 +50,14 @@ struct BatchOut {
 };
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
+  const BenchOptions opts = ParseArgs(argc, argv);
 
   const std::vector<ClusteringStrategy> clusterings = {
       ClusteringStrategy::kClassClustered, ClusteringStrategy::kComposition,
       ClusteringStrategy::kRandomized};
   const std::vector<uint32_t> batches = {1, 4, 16, 64};
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   std::vector<std::vector<BatchOut>> outs(clusterings.size());
   for (auto& per_cluster : outs) per_cluster.resize(batches.size());
 
@@ -185,7 +148,7 @@ int Main(int argc, char** argv) {
 
       const std::string key =
           cluster_label + "_b" + std::to_string(batch);
-      if (!extra.summary_json.empty()) {
+      if (!opts.summary_json_path.empty()) {
         summary.Set(key + "_scan_rpcs", static_cast<double>(sm.rpc_count));
         summary.Set(key + "_scan_disk_reads",
                     static_cast<double>(sm.disk_reads));
@@ -248,16 +211,11 @@ int Main(int argc, char** argv) {
       "on clustered layouts, less on randomized (where oversized windows "
       "can even thrash a tiny client cache — visible above at scale 0)\n");
 
-  if (!extra.summary_json.empty()) {
-    if (WriteFileOrWarn(extra.summary_json, summary.ToJson())) {
-      std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
-    } else {
-      return 1;
-    }
-  }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return speedup_ok ? 0 : 1;
+  bool ok = WriteArtifact(opts.summary_json_path, summary.ToJson(),
+                          "run summary") &&
+            speedup_ok;
+  ok = MaybeExportStatsJson(stats, opts) && ok;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

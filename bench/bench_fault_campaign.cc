@@ -11,8 +11,6 @@
 // the outage at a bit-stable virtual timestamp (two independent same-seed
 // runs must produce byte-identical reports), CLEAR after the crashed server
 // recovers, and a fault-free contrast run must raise zero alerts.
-// --summary-json=PATH writes the campaign's flat summary — the format
-// bench/check_regression diffs against bench/baselines/slo_smoke.json.
 //
 // Cell decomposition (docs/parallel_harness.md): each fault intensity is a
 // hermetic cell with its own database build (the probe query runs cold, so
@@ -25,11 +23,11 @@
 // fault-free contrast run on its own build); all gates, tables and the flat
 // summary are evaluated at merge time in submission order.
 //
-// Every campaign run lands in a StatStore record, so --csv/--stats-json
-// export works and run_benches.sh consolidates this bench into
-// bench_json/BENCH_results.json like every other sweep.
+// Flags read (bench/common/bench_util.h): --jobs, --stats-json (one record
+// per campaign run), and --summary-json (the campaign's flat summary, gated
+// against bench/baselines/slo_smoke.json). Smoke (--scale=0) is scale 64
+// only.
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -396,14 +394,6 @@ bool SloMerge(const SloOut& a, const SloOut& b, const SloOut& clean,
 
 int Main(int argc, char** argv) {
   BenchOptions opts = ParseArgs(argc, argv);
-  // The common ParseArgs has no --summary-json; parse it from raw argv
-  // (same pattern as the scale-out benches).
-  std::string summary_json;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--summary-json=", 15) == 0) {
-      summary_json = argv[i] + 15;
-    }
-  }
 
   struct Intensity {
     std::string slug;
@@ -419,7 +409,7 @@ int Main(int argc, char** argv) {
       {"rpc_5", "rpc 5%", 0.05, 0.0},
   };
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   std::vector<CampaignRow> results(campaigns.size());
   LoaderOut loader_out;
   SloOut slo_a, slo_b, slo_clean;
@@ -547,21 +537,11 @@ int Main(int argc, char** argv) {
   telemetry::FlatRun summary;
   const bool slo_ok =
       SloMerge(slo_a, slo_b, slo_clean, &stats,
-               summary_json.empty() ? nullptr : &summary);
-  if (!summary_json.empty()) {
-    FILE* f = std::fopen(summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", summary_json.c_str());
-      return 1;
-    }
-    const std::string s = summary.ToJson();
-    std::fwrite(s.data(), 1, s.size(), f);
-    std::fclose(f);
-    std::printf("wrote slo campaign summary to %s\n", summary_json.c_str());
-  }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return slo_ok ? 0 : 1;
+               opts.summary_json_path.empty() ? nullptr : &summary);
+  bool written = WriteArtifact(opts.summary_json_path, summary.ToJson(),
+                               "slo campaign summary");
+  written = MaybeExportStatsJson(stats, opts) && written;
+  return slo_ok && written ? 0 : 1;
 }
 
 }  // namespace

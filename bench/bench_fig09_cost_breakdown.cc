@@ -7,12 +7,12 @@
 // trace's counters, the sort and total buckets straight from the EXPLAIN
 // ANALYZE phase trace (the rid_sort span and the root span).
 //
-// --verbose prints each run's trace tree; --trace-json=PATH exports both
-// traces as one JSON document (the CI artifact).
+// Flags read (bench/common/bench_util.h): --verbose prints each run's trace
+// tree; --trace-json=PATH exports both traces as one JSON document (the CI
+// artifact).
 #include "common/bench_util.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "src/common/string_util.h"
 #include "src/cost/trace.h"
@@ -130,19 +130,13 @@ int Main(int argc, char** argv) {
       WithThousands(scan_trace->metrics.comparisons).c_str(),
       WithThousands(sorted_trace->metrics.comparisons).c_str());
 
-  if (!opts.trace_json_path.empty()) {
-    std::ofstream out(opts.trace_json_path, std::ios::trunc);
-    if (!out.good()) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   opts.trace_json_path.c_str());
-      return 1;
-    }
-    out << "{\n\"standard_scan\":\n" << TraceToJson(*scan_trace)
-        << ",\n\"sorted_index_scan\":\n" << TraceToJson(*sorted_trace)
-        << "\n}\n";
-    std::printf("wrote traces to %s\n", opts.trace_json_path.c_str());
-  }
-  return 0;
+  const bool ok = WriteArtifact(
+      opts.trace_json_path,
+      "{\n\"standard_scan\":\n" + TraceToJson(*scan_trace) +
+          ",\n\"sorted_index_scan\":\n" + TraceToJson(*sorted_trace) +
+          "\n}\n",
+      "traces");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Reproduces paper Figure 13: *composition clustering* (children placed
 // right after their parent) on the 2,000 x ~2,000,000 database. Paper
 // expectation: navigation (NL) is by far the best almost everywhere.
+//
+// Flags read (bench/common/bench_util.h): --stats-json.
 #include "common/bench_util.h"
 
 namespace treebench::bench {
@@ -18,9 +20,7 @@ int Main(int argc, char** argv) {
   StatStore stats;
   RunTreeQueryGrid(*derby, "fig13 composition 2e3x2e6", paper, opts,
                    &stats);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return 0;
+  return MaybeExportStatsJson(stats, opts) ? 0 : 1;
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Reproduces paper Figure 14: composition clustering at the large scale
 // (1,000,000 x ~3,000,000). Paper expectation: NL wins three of four
 // cells; NOJOIN takes (10,90).
+//
+// Flags read (bench/common/bench_util.h): --stats-json.
 #include "common/bench_util.h"
 
 namespace treebench::bench {
@@ -18,9 +20,7 @@ int Main(int argc, char** argv) {
   StatStore stats;
   RunTreeQueryGrid(*derby, "fig14 composition 1e6x3e6", paper, opts,
                    &stats);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return 0;
+  return MaybeExportStatsJson(stats, opts) ? 0 : 1;
 }
 
 }  // namespace

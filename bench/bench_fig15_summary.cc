@@ -2,6 +2,8 @@
 // for both database scales and three physical organizations (randomized,
 // class clustering, composition clustering), the fastest algorithm and its
 // time in every cell of the selectivity grid.
+//
+// Flags read (bench/common/bench_util.h): --stats-json.
 #include <array>
 
 #include "common/bench_util.h"
@@ -117,9 +119,7 @@ int Main(int argc, char** argv) {
              {"rel", "sel pat/prov", "randomized", "class cluster",
               "composition"},
              rows);
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return 0;
+  return MaybeExportStatsJson(stats, opts) ? 0 : 1;
 }
 
 }  // namespace

@@ -29,16 +29,15 @@
 //   * convergence: scattered p50 >= 3x the composition baseline AND
 //     converged p50 <= 1.5x the composition baseline.
 //
-// Extra flags (beyond the common --scale/--csv/--stats-json and --jobs=N):
-//   --queries=N          measured queries per phase (default 6; adapt phase
-//                        runs 3N so the reorganizer gets enough wake-ups)
-//   --summary-json=PATH  flat {"key": number} summary —
-//                        bench/check_regression diffs it against
+// Flags read (bench/common/bench_util.h), with their meaning here:
+//   --jobs, --stats-json
+//   --queries=N          measured queries per phase (default 6; the adapt
+//                        phase runs 3N so the reorganizer gets enough
+//                        wake-ups)
+//   --summary-json=PATH  flat summary, gated against
 //                        bench/baselines/reclustering_smoke.json
-//   --scale=0            smoke mode: tiny database (scale 64) — the CI
-//                        config.
+// Smoke (--scale=0) is scale 64 only.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,27 +51,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  uint32_t queries = 0;      // --queries=N (0 = default)
-  std::string summary_json;  // --summary-json=PATH
-};
-
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
 
 /// One client repeating the canonical composition traversal, NL-forced and
 /// cold per query, so every latency is a pure function of the current
@@ -160,12 +138,10 @@ PhaseResult RunPhase(DerbyDb* derby, const WorkloadSpec& spec,
 }
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries : 6;
+  const BenchOptions opts = ParseArgs(argc, argv);
+  const uint32_t queries = opts.queries > 0 ? opts.queries : 6;
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   uint8_t gate_ok = 0;
   PhaseResult scattered, adapt, converged, baseline;
   WorkloadTelemetry telemetry;
@@ -304,7 +280,7 @@ int Main(int argc, char** argv) {
       after_gate ? "PASS" : "FAIL", migrated ? "PASS" : "FAIL");
   gates_pass = gates_pass && before_gate && after_gate && migrated;
 
-  if (!extra.summary_json.empty()) {
+  if (!opts.summary_json_path.empty()) {
     summary.Set("scattered_p50_s", scattered.p50_s);
     summary.Set("adapt_p50_s", adapt.p50_s);
     summary.Set("converged_p50_s", converged.p50_s);
@@ -327,17 +303,10 @@ int Main(int argc, char** argv) {
     summary.Set("heat_samples",
                 static_cast<double>(adapt.report.totals.heat_samples));
     summary.Set("clustering_quality", adapt.report.clustering_quality);
-
-    FILE* f = std::fopen(extra.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.summary_json.c_str());
-      return 1;
-    }
-    const std::string json = summary.ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
   }
+  bool ok = WriteArtifact(opts.summary_json_path, summary.ToJson(),
+                          "run summary") &&
+            gates_pass;
 
   // StatStore records, one per phase, for BENCH_results.json.
   for (const Row& row : phases) {
@@ -356,9 +325,8 @@ int Main(int argc, char** argv) {
     rec.FillFrom(row.r->report.totals, row.r->report.span_seconds);
     stats.Add(rec);
   }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return gates_pass ? 0 : 1;
+  ok = MaybeExportStatsJson(stats, opts) && ok;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

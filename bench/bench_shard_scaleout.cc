@@ -30,17 +30,16 @@
 // losing cross-client locality of the single shared server cache; hash
 // placement keeps per-shard admissions within a tight band.
 //
-// Extra flags (parsed from raw argv, beyond the common --scale/--csv and
-// --jobs=N):
-//   --servers=N          sweep server counts {1, N} instead of the default
-//   --clients=N          client count of every swept run (default 8)
-//   --queries=N          measured queries per client (default 6; smoke 3)
+// Flags read (bench/common/bench_util.h), with their meaning here:
+//   --jobs, --stats-json
+//   --servers=N          sweep server counts {1, N}
+//   --clients=N          client count of every run (default 8)
+//   --queries=N          measured queries per client (default 6)
 //   --json=PATH          deterministic JSON array of every WorkloadReport
-//   --summary-json=PATH  flat {"key": number} summary of every run — the
-//                        format bench/check_regression diffs against
+//   --summary-json=PATH  flat summary of every run, gated against
 //                        bench/baselines/shard_scaleout_smoke.json
-//   --scale=0            smoke mode: tiny database (scale 64), servers
-//                        {1, 2, 4}, 3 queries/client — the CI config.
+// Smoke (--scale=0) also shrinks the server counts to {1, 2, 4} and the
+// queries to 3 per client.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -56,38 +55,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  uint32_t servers = 0;      // --servers=N (0 = default sweep)
-  uint32_t clients = 0;      // --clients=N (0 = default)
-  uint32_t queries = 0;      // --queries=N (0 = default)
-  std::string json_path;     // --json=PATH
-  std::string summary_json;  // --summary-json=PATH
-};
-
-// The common ParseArgs clamps --scale to >= 1, so smoke mode (--scale=0)
-// must be detected from raw argv.
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--servers=", 10) == 0) {
-      extra.servers = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      extra.clients = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      extra.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
 
 WorkloadSpec BaseSpec(uint32_t clients, uint32_t queries) {
   WorkloadSpec spec;
@@ -184,18 +151,16 @@ void RecordRun(StatStore* stats, telemetry::FlatRun* summary,
 }
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries
-                           : extra.smoke    ? 3
+  const BenchOptions opts = ParseArgs(argc, argv);
+  const uint32_t queries = opts.queries > 0 ? opts.queries
+                           : opts.smoke     ? 3
                                             : 6;
-  const uint32_t clients = extra.clients > 0 ? extra.clients : 8;
+  const uint32_t clients = opts.clients > 0 ? opts.clients : 8;
 
   std::vector<uint32_t> server_counts;
-  if (extra.servers > 0) {
-    server_counts = {1, extra.servers};
-  } else if (extra.smoke) {
+  if (opts.servers > 0) {
+    server_counts = {1, opts.servers};
+  } else if (opts.smoke) {
     server_counts = {1, 2, 4};
   } else {
     server_counts = {1, 2, 4, 8};
@@ -244,7 +209,7 @@ int Main(int argc, char** argv) {
     return 0;
   };
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   uint8_t gate_ok = 0;
   std::vector<RunOut> sweep(server_counts.size());
@@ -280,7 +245,8 @@ int Main(int argc, char** argv) {
 
   StatStore stats;
   telemetry::FlatRun summary;
-  telemetry::FlatRun* sump = extra.summary_json.empty() ? nullptr : &summary;
+  telemetry::FlatRun* sump =
+      opts.summary_json_path.empty() ? nullptr : &summary;
   std::string json = "[\n";
   bool first_json = true;
   bool ok = gate_ok != 0;
@@ -430,29 +396,11 @@ int Main(int argc, char** argv) {
       "the unprotected configuration fails every query that hits the dead "
       "shard's recovery window\n");
 
-  if (!extra.json_path.empty()) {
-    FILE* f = std::fopen(extra.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote workload reports to %s\n", extra.json_path.c_str());
-  }
-  if (!extra.summary_json.empty()) {
-    FILE* f = std::fopen(extra.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.summary_json.c_str());
-      return 1;
-    }
-    const std::string s = summary.ToJson();
-    std::fwrite(s.data(), 1, s.size(), f);
-    std::fclose(f);
-    std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
-  }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
+  ok = WriteArtifact(opts.json_path, json, "workload reports") && ok;
+  ok = WriteArtifact(opts.summary_json_path, summary.ToJson(),
+                     "run summary") &&
+       ok;
+  ok = MaybeExportStatsJson(stats, opts) && ok;
   return ok ? 0 : 1;
 }
 

@@ -20,16 +20,15 @@
 // clients, and undo_bytes stays proportional to the distinct pages each
 // transaction dirties while redo_bytes tracks the update count.
 //
-// Extra flags (beyond the common --scale/--csv/--stats-json and --jobs=N):
-//   --clients=N          sweep {1, N} instead of the default counts
-//   --queries=N          measured queries per client (default 8; smoke 3)
-//   --summary-json=PATH  flat {"key": number} summary of every swept run —
-//                        the format bench/check_regression diffs against
+// Flags read (bench/common/bench_util.h), with their meaning here:
+//   --jobs, --stats-json
+//   --clients=N          sweep client counts {1, N}
+//   --queries=N          measured queries per client (default 8)
+//   --summary-json=PATH  flat summary of every swept run, gated against
 //                        bench/baselines/update_mix_smoke.json
-//   --scale=0            smoke mode: tiny database (scale 64), 3
-//                        queries/client — the CI config.
+// Smoke (--scale=0) also shrinks the client counts to {1, 4} and the
+// queries to 3 per client.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,30 +42,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;        // --scale=0
-  uint32_t clients = 0;      // --clients=N (0 = default counts)
-  uint32_t queries = 0;      // --queries=N (0 = default)
-  std::string summary_json;  // --summary-json=PATH
-};
-
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      extra.clients = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    }
-  }
-  return extra;
-}
 
 WorkloadSpec MixSpec(uint32_t clients, uint32_t queries, double ratio) {
   WorkloadSpec spec;
@@ -138,17 +113,15 @@ struct MixOut {
 };
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries
-                           : extra.smoke    ? 3
+  const BenchOptions opts = ParseArgs(argc, argv);
+  const uint32_t queries = opts.queries > 0 ? opts.queries
+                           : opts.smoke     ? 3
                                             : 8;
 
   std::vector<uint32_t> counts;
-  if (extra.clients > 0) {
-    counts = {1, extra.clients};
-  } else if (extra.smoke) {
+  if (opts.clients > 0) {
+    counts = {1, opts.clients};
+  } else if (opts.smoke) {
     counts = {1, 4};
   } else {
     counts = {1, 4, 16};
@@ -158,7 +131,7 @@ int Main(int argc, char** argv) {
   const std::vector<ClusteringStrategy> clusterings = {
       ClusteringStrategy::kClassClustered, ClusteringStrategy::kComposition};
 
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   std::vector<uint8_t> gate_ok(clusterings.size(), 0);
   std::vector<std::vector<MixOut>> sweeps(clusterings.size());
@@ -228,7 +201,7 @@ int Main(int argc, char** argv) {
             cluster_label + "_r" + std::to_string(int(ratio * 100)) + "_c" +
             std::to_string(n);
 
-        if (!extra.summary_json.empty()) {
+        if (!opts.summary_json_path.empty()) {
           summary.Set(run_label + "_total_queries",
                       static_cast<double>(report.total_queries));
           summary.Set(run_label + "_failed_queries",
@@ -312,20 +285,11 @@ int Main(int argc, char** argv) {
       "appears only with >= 2 clients; undo tracks dirtied pages, redo "
       "tracks update count\n");
 
-  if (!extra.summary_json.empty()) {
-    FILE* f = std::fopen(extra.summary_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.summary_json.c_str());
-      return 1;
-    }
-    const std::string json = summary.ToJson();
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
-  }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return gates_pass ? 0 : 1;
+  bool ok = WriteArtifact(opts.summary_json_path, summary.ToJson(),
+                          "run summary") &&
+            gates_pass;
+  ok = MaybeExportStatsJson(stats, opts) && ok;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -17,35 +17,31 @@
 // cell-runner pool (docs/parallel_harness.md) and merged in submission
 // order, so output and artifacts are byte-identical at any --jobs value.
 //
-// Extra flags (parsed from raw argv, beyond the common --scale/--csv and
-// the harness's --jobs=N):
-//   --clients=N          cap/select the swept client counts (runs {1, N})
-//   --queries=N          measured queries per client (default 8; smoke 3)
+// Flags read (bench/common/bench_util.h), with their meaning here:
+//   --jobs, --stats-json
+//   --clients=N          sweep client counts {1, N}
+//   --queries=N          measured queries per client (default 8)
 //   --json=PATH          deterministic JSON array of every WorkloadReport
-//   --telemetry-dir=DIR  per swept run, write the virtual-time telemetry:
-//                        <cluster>_c<N>.timeseries.{csv,jsonl}, a Perfetto
-//                        trace <cluster>_c<N>.chrome.json (open it at
-//                        ui.perfetto.dev), and flamegraph folded stacks
+//   --summary-json=PATH  flat summary of every swept run, gated against
+//                        bench/baselines/workload_scaleout_c{4,8}.json
+//   --telemetry-dir=DIR  per swept run: <cluster>_c<N>.timeseries.{csv,
+//                        jsonl}, a Perfetto trace <cluster>_c<N>.chrome.json
+//                        (ui.perfetto.dev) and folded stacks
 //                        <cluster>_c<N>.folded
-//   --summary-json=PATH  flat {"key": number} summary of every swept run —
-//                        the format bench/check_regression diffs against
-//                        bench/baselines/*.json
-//   --query-log-dir=DIR  per swept run, enable the query flight recorder
-//                        (docs/observability.md) and write
-//                        <cluster>_c<N>.querylog.{jsonl,csv} (one record per
-//                        completed query: counter delta, causal wait
-//                        breakdown, shards touched) plus the tail-latency
-//                        attribution report <cluster>_c<N>.tail.txt
-//   --scale=0            smoke mode: tiny database (scale 64), counts {1, 4
-//                        or --clients}, 3 queries/client — the CI config.
+//   --query-log-dir=DIR  per swept run, with the query flight recorder on
+//                        (docs/observability.md):
+//                        <cluster>_c<N>.querylog.{jsonl,csv} and the
+//                        tail-latency report <cluster>_c<N>.tail.txt
+// Smoke (--scale=0) also shrinks the client counts to {1, 4} and the
+// queries to 3 per client.
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/bench_util.h"
 #include "common/cell_harness.h"
+#include "src/common/file_util.h"
 #include "src/common/string_util.h"
 #include "src/cost/trace.h"
 #include "src/query/executor.h"
@@ -57,52 +53,6 @@
 
 namespace treebench::bench {
 namespace {
-
-struct ExtraArgs {
-  bool smoke = false;           // --scale=0
-  uint32_t clients = 0;         // --clients=N (0 = full sweep)
-  uint32_t queries = 0;         // --queries=N (0 = default)
-  std::string json_path;        // --json=PATH
-  std::string telemetry_dir;    // --telemetry-dir=DIR
-  std::string summary_json;     // --summary-json=PATH
-  std::string query_log_dir;    // --query-log-dir=DIR
-};
-
-// The common ParseArgs clamps --scale to >= 1, so smoke mode (--scale=0)
-// must be detected from raw argv.
-ExtraArgs ParseExtra(int argc, char** argv) {
-  ExtraArgs extra;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--scale=0") == 0) {
-      extra.smoke = true;
-    } else if (std::strncmp(arg, "--clients=", 10) == 0) {
-      extra.clients = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--queries=", 10) == 0) {
-      extra.queries = static_cast<uint32_t>(std::atol(arg + 10));
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      extra.json_path = arg + 7;
-    } else if (std::strncmp(arg, "--telemetry-dir=", 16) == 0) {
-      extra.telemetry_dir = arg + 16;
-    } else if (std::strncmp(arg, "--summary-json=", 15) == 0) {
-      extra.summary_json = arg + 15;
-    } else if (std::strncmp(arg, "--query-log-dir=", 16) == 0) {
-      extra.query_log_dir = arg + 16;
-    }
-  }
-  return extra;
-}
-
-bool WriteFileOrWarn(const std::string& path, const std::string& content) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  return true;
-}
 
 WorkloadSpec SweepSpec(uint32_t clients, uint32_t queries) {
   WorkloadSpec spec;
@@ -185,17 +135,15 @@ struct SweepOut {
 };
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
-  ExtraArgs extra = ParseExtra(argc, argv);
-  if (extra.smoke) opts.scale = 64;
-  const uint32_t queries = extra.queries > 0 ? extra.queries
-                           : extra.smoke    ? 3
+  const BenchOptions opts = ParseArgs(argc, argv);
+  const uint32_t queries = opts.queries > 0 ? opts.queries
+                           : opts.smoke     ? 3
                                             : 8;
 
   std::vector<uint32_t> counts;
-  if (extra.clients > 0) {
-    counts = {1, extra.clients};
-  } else if (extra.smoke) {
+  if (opts.clients > 0) {
+    counts = {1, opts.clients};
+  } else if (opts.smoke) {
     counts = {1, 4};
   } else {
     counts = {1, 2, 4, 8, 16, 32, 64};
@@ -208,7 +156,7 @@ int Main(int argc, char** argv) {
   // one sweep cell per client count. Every cell builds its own database
   // (the sweeps run cold_start, so a fresh build reproduces the shared-
   // database counters exactly).
-  BenchCells cells(ParseJobs(argc, argv));
+  BenchCells cells(opts.jobs);
   // Not vector<bool>: its bit-packing would let two cells race on one byte.
   std::vector<uint8_t> gate_ok(clusterings.size(), 0);
   std::vector<std::vector<SweepOut>> sweeps(clusterings.size());
@@ -228,7 +176,7 @@ int Main(int argc, char** argv) {
       cells.Add(run_label, [&, ci, ni, n, clustering, run_label] {
         auto derby = BuildDerbyOrDie(2000, 1000, clustering, opts);
         SweepOut& out = sweeps[ci][ni];
-        const bool want_telemetry = !extra.telemetry_dir.empty();
+        const bool want_telemetry = !opts.telemetry_dir.empty();
         WorkloadTelemetry tel;
         // Folded stacks come from the span tree, so a trace session wraps
         // the run when telemetry is requested (neither changes any counter).
@@ -240,7 +188,7 @@ int Main(int argc, char** argv) {
         // The flight recorder is a pure observer: counters and latencies
         // are identical with and without it (test-enforced), so enabling it
         // for the artifact export does not perturb the sweep.
-        if (!extra.query_log_dir.empty()) sweep_spec.query_log = true;
+        if (!opts.query_log_dir.empty()) sweep_spec.query_log = true;
         auto report = RunWorkload(derby.get(), sweep_spec,
                                   want_telemetry ? &tel : nullptr);
         if (!report.ok()) {
@@ -249,41 +197,35 @@ int Main(int argc, char** argv) {
           return 1;
         }
         bool files_ok = true;
+        auto write = [&files_ok](const std::string& path,
+                                 const std::string& content) {
+          const Status st = WriteFile(path, content);
+          if (!st.ok()) {
+            std::fprintf(stderr, "FATAL: %s\n", st.ToString().c_str());
+            files_ok = false;
+          }
+        };
         if (want_telemetry) {
-          const std::string base = extra.telemetry_dir + "/" + run_label;
-          files_ok =
-              WriteFileOrWarn(base + ".timeseries.csv", tel.series.ToCsv()) &&
-              files_ok;
-          files_ok = WriteFileOrWarn(base + ".timeseries.jsonl",
-                                     tel.series.ToJsonl()) &&
-                     files_ok;
-          files_ok = WriteFileOrWarn(base + ".chrome.json",
-                                     tel.ChromeTraceJson()) &&
-                     files_ok;
+          const std::string base = opts.telemetry_dir + "/" + run_label;
+          write(base + ".timeseries.csv", tel.series.ToCsv());
+          write(base + ".timeseries.jsonl", tel.series.ToJsonl());
+          write(base + ".chrome.json", tel.ChromeTraceJson());
           std::unique_ptr<TraceNode> span_root = trace_session->Take();
-          files_ok =
-              WriteFileOrWarn(base + ".folded",
-                              span_root != nullptr
-                                  ? telemetry::TraceToFoldedStacks(*span_root)
-                                  : std::string()) &&
-              files_ok;
+          write(base + ".folded",
+                span_root != nullptr
+                    ? telemetry::TraceToFoldedStacks(*span_root)
+                    : std::string());
           std::fprintf(Out(),
                        "telemetry: %s.{timeseries.csv,timeseries.jsonl,"
                        "chrome.json,folded} (%zu samples, %zu slices)\n",
                        base.c_str(), tel.series.num_samples(),
                        tel.query_slices.size());
         }
-        if (!extra.query_log_dir.empty()) {
-          const std::string base = extra.query_log_dir + "/" + run_label;
-          files_ok = WriteFileOrWarn(base + ".querylog.jsonl",
-                                     report->query_log.ToJsonl()) &&
-                     files_ok;
-          files_ok = WriteFileOrWarn(base + ".querylog.csv",
-                                     report->query_log.ToCsv()) &&
-                     files_ok;
-          files_ok =
-              WriteFileOrWarn(base + ".tail.txt", report->tail.ToString()) &&
-              files_ok;
+        if (!opts.query_log_dir.empty()) {
+          const std::string base = opts.query_log_dir + "/" + run_label;
+          write(base + ".querylog.jsonl", report->query_log.ToJsonl());
+          write(base + ".querylog.csv", report->query_log.ToCsv());
+          write(base + ".tail.txt", report->tail.ToString());
           std::fprintf(Out(),
                        "query log: %s.{querylog.jsonl,querylog.csv,tail.txt} "
                        "(%zu records)\n",
@@ -325,7 +267,7 @@ int Main(int argc, char** argv) {
       }
       const WorkloadReport& report = out.report;
       const std::string run_label = cluster_label + "_c" + std::to_string(n);
-      if (!extra.summary_json.empty()) {
+      if (!opts.summary_json_path.empty()) {
         const Metrics& t = report.totals;
         summary.Set(run_label + "_total_queries",
                     static_cast<double>(report.total_queries));
@@ -398,26 +340,13 @@ int Main(int argc, char** argv) {
       "grows with clients) while zipf sharing keeps per-client disk reads "
       "below N independent cold runs\n");
 
-  if (!extra.json_path.empty()) {
-    FILE* f = std::fopen(extra.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", extra.json_path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("wrote workload reports to %s\n", extra.json_path.c_str());
-  }
-  if (!extra.summary_json.empty()) {
-    if (WriteFileOrWarn(extra.summary_json, summary.ToJson())) {
-      std::printf("wrote run summary to %s\n", extra.summary_json.c_str());
-    } else {
-      telemetry_ok = false;
-    }
-  }
-  MaybeExportCsv(stats, opts);
-  MaybeExportStatsJson(stats, opts);
-  return cells_ok && all_exact && telemetry_ok ? 0 : 1;
+  bool ok = cells_ok && all_exact && telemetry_ok;
+  ok = WriteArtifact(opts.json_path, json, "workload reports") && ok;
+  ok = WriteArtifact(opts.summary_json_path, summary.ToJson(),
+                     "run summary") &&
+       ok;
+  ok = MaybeExportStatsJson(stats, opts) && ok;
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <string>
 
+#include "src/common/file_util.h"
 #include "src/telemetry/regression.h"
 
 namespace {
@@ -93,14 +94,12 @@ int main(int argc, char** argv) {
   std::printf("%s", result.report.c_str());
   if (json_path != nullptr) {
     // Machine-readable diff for CI annotation, written pass or fail.
-    FILE* f = std::fopen(json_path, "wb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path);
+    const treebench::Status s =
+        treebench::WriteFile(json_path, result.DiffJson());
+    if (!s.ok()) {
+      std::fprintf(stderr, "%s\n", s.ToString().c_str());
       return 2;
     }
-    const std::string diff = result.DiffJson();
-    std::fwrite(diff.data(), 1, diff.size(), f);
-    std::fclose(f);
   }
   if (!result.ok) {
     std::fprintf(stderr, "check_regression: %d of %d keys out of bounds\n",

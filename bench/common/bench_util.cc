@@ -1,17 +1,19 @@
 #include "common/bench_util.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
+#include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
 #include "common/cell_harness.h"
+#include "src/common/file_util.h"
 #include "src/common/string_util.h"
 #include "src/query/tree_query.h"
 
@@ -50,61 +52,155 @@ long PeakRssKb() {
 }
 
 void WritePerfJson() {
-  if (g_perf_json_path.empty()) return;
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     g_perf_start)
           .count();
-  FILE* f = std::fopen(g_perf_json_path.c_str(), "wb");
-  if (f == nullptr) {
-    std::fprintf(stderr, "perf json export failed: cannot write %s\n",
-                 g_perf_json_path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"wall_seconds\": %.3f,\n  \"peak_rss_kb\": %ld",
-               wall, PeakRssKb());
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "{\n  \"wall_seconds\": %.3f,\n  \"peak_rss_kb\": %ld", wall,
+                PeakRssKb());
+  std::string json = buf;
   if (g_harness_perf.recorded) {
-    std::fprintf(f, ",\n  \"jobs\": %u,\n  \"cells\": %zu",
-                 g_harness_perf.jobs, g_harness_perf.cells.size());
-    std::fprintf(f, ",\n  \"pool_occupancy\": %.3f", g_harness_perf.occupancy);
-    std::fprintf(f, ",\n  \"cell_wall_seconds\": {");
+    std::snprintf(buf, sizeof(buf),
+                  ",\n  \"jobs\": %u,\n  \"cells\": %zu,\n  "
+                  "\"pool_occupancy\": %.3f",
+                  g_harness_perf.jobs, g_harness_perf.cells.size(),
+                  g_harness_perf.occupancy);
+    json += buf;
+    json += ",\n  \"cell_wall_seconds\": {";
     for (size_t i = 0; i < g_harness_perf.cells.size(); ++i) {
       const CellRunner::CellResult& c = g_harness_perf.cells[i];
-      std::fprintf(f, "%s\n    \"%s\": %.3f", i == 0 ? "" : ",",
-                   c.label.c_str(), c.wall_seconds);
+      std::snprintf(buf, sizeof(buf), ": %.3f", c.wall_seconds);
+      json += (i == 0 ? "\n    \"" : ",\n    \"") + c.label + "\"" + buf;
     }
-    std::fprintf(f, "\n  }");
+    json += "\n  }";
   }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
+  json += "\n}\n";
+  const Status s = WriteFile(g_perf_json_path, json);
+  if (!s.ok()) {
+    // Runs inside exit(): the exit status can only be changed by ending the
+    // process here, after flushing what the bench already printed.
+    std::fprintf(stderr, "perf json export failed: %s\n",
+                 s.ToString().c_str());
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+}
+
+// Parses a decimal flag value in [lo, hi]; no sign, no spaces, no suffix.
+bool ParseNumber(std::string_view text, uint64_t lo, uint64_t hi,
+                 uint32_t* out) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || v < lo || v > hi) {
+    return false;
+  }
+  *out = static_cast<uint32_t>(v);
+  return true;
+}
+
+// The flag table; bench_util.h documents each flag.
+struct NumberFlag {
+  std::string_view name;
+  uint32_t BenchOptions::*field;
+  uint64_t lo, hi;
+};
+constexpr NumberFlag kNumberFlags[] = {
+    {"--scale=", &BenchOptions::scale, 0, UINT32_MAX},
+    {"--jobs=", &BenchOptions::jobs, 1, 1023},
+    {"--clients=", &BenchOptions::clients, 1, UINT32_MAX},
+    {"--queries=", &BenchOptions::queries, 1, UINT32_MAX},
+    {"--servers=", &BenchOptions::servers, 1, UINT32_MAX},
+};
+struct PathFlag {
+  std::string_view name;
+  std::string BenchOptions::*field;
+};
+constexpr PathFlag kPathFlags[] = {
+    {"--stats-json=", &BenchOptions::stats_json_path},
+    {"--perf-json=", &BenchOptions::perf_json_path},
+    {"--trace-json=", &BenchOptions::trace_json_path},
+    {"--summary-json=", &BenchOptions::summary_json_path},
+    {"--json=", &BenchOptions::json_path},
+    {"--telemetry-dir=", &BenchOptions::telemetry_dir},
+    {"--query-log-dir=", &BenchOptions::query_log_dir},
+};
+
+std::string Usage() {
+  std::string usage;
+  for (const NumberFlag& f : kNumberFlags) {
+    usage += " [" + std::string(f.name) + "N]";
+  }
+  for (const PathFlag& f : kPathFlags) {
+    usage += " [" + std::string(f.name) + "PATH]";
+  }
+  return usage + " [--verbose]";
 }
 
 }  // namespace
 
-BenchOptions ParseArgs(int argc, char** argv) {
+Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
+                                  uint32_t default_scale) {
   BenchOptions opts;
+  opts.scale = default_scale;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      opts.scale = static_cast<uint32_t>(std::max(1L, std::atol(arg + 8)));
-    } else if (std::strncmp(arg, "--csv=", 6) == 0) {
-      opts.csv_path = arg + 6;
-    } else if (std::strncmp(arg, "--stats-json=", 13) == 0) {
-      opts.stats_json_path = arg + 13;
-    } else if (std::strncmp(arg, "--trace-json=", 13) == 0) {
-      opts.trace_json_path = arg + 13;
-    } else if (std::strncmp(arg, "--perf-json=", 12) == 0) {
-      opts.perf_json_path = arg + 12;
-    } else if (std::strcmp(arg, "--verbose") == 0) {
-      opts.verbose = true;
+    const std::string_view arg = argv[i];
+    bool known = arg == "--verbose";
+    if (known) opts.verbose = true;
+    for (const NumberFlag& f : kNumberFlags) {
+      if (!arg.starts_with(f.name)) continue;
+      known = true;
+      if (!ParseNumber(arg.substr(f.name.size()), f.lo, f.hi,
+                       &(opts.*f.field))) {
+        return Status::InvalidArgument("bad value in " + std::string(arg));
+      }
+    }
+    for (const PathFlag& f : kPathFlags) {
+      if (!arg.starts_with(f.name)) continue;
+      known = true;
+      opts.*f.field = arg.substr(f.name.size());
+      if ((opts.*f.field).empty()) {
+        return Status::InvalidArgument("empty value in " + std::string(arg));
+      }
+    }
+    if (!known) {
+      return Status::InvalidArgument("unknown flag " + std::string(arg));
     }
   }
+  opts.smoke = opts.scale == 0;
+  if (opts.smoke) opts.scale = 64;
+  return opts;
+}
+
+BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale) {
+  Result<BenchOptions> parsed = TryParseArgs(argc, argv, default_scale);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: %s; usage: %s%s\n", argv[0],
+                 parsed.status().message().c_str(), argv[0],
+                 Usage().c_str());
+    std::exit(2);
+  }
+  BenchOptions opts = std::move(parsed).value();
   if (!opts.perf_json_path.empty() && g_perf_json_path.empty()) {
     g_perf_json_path = opts.perf_json_path;
     g_perf_start = std::chrono::steady_clock::now();
     std::atexit(WritePerfJson);
   }
   return opts;
+}
+
+bool WriteArtifact(const std::string& path, const std::string& content,
+                   const std::string& what) {
+  if (path.empty()) return true;
+  const Status s = WriteFile(path, content);
+  if (!s.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", s.ToString().c_str());
+    return false;
+  }
+  std::fprintf(Out(), "wrote %s to %s\n", what.c_str(), path.c_str());
+  return true;
 }
 
 void RecordHarnessPerf(const CellRunner& runner) {
@@ -237,26 +333,16 @@ void RunTreeQueryGrid(DerbyDb& derby, const std::string& db_label,
              rows);
 }
 
-void MaybeExportCsv(const StatStore& stats, const BenchOptions& opts) {
-  if (opts.csv_path.empty()) return;
-  Status s = stats.ExportCsv(opts.csv_path);
-  if (!s.ok()) {
-    std::fprintf(stderr, "csv export failed: %s\n", s.ToString().c_str());
-  } else {
-    std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
-                 opts.csv_path.c_str());
-  }
-}
-
-void MaybeExportStatsJson(const StatStore& stats, const BenchOptions& opts) {
-  if (opts.stats_json_path.empty()) return;
+bool MaybeExportStatsJson(const StatStore& stats, const BenchOptions& opts) {
+  if (opts.stats_json_path.empty()) return true;
   Status s = stats.ExportJson(opts.stats_json_path);
   if (!s.ok()) {
     std::fprintf(stderr, "json export failed: %s\n", s.ToString().c_str());
-  } else {
-    std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
-                 opts.stats_json_path.c_str());
+    return false;
   }
+  std::fprintf(Out(), "wrote %zu stat records to %s\n", stats.size(),
+               opts.stats_json_path.c_str());
+  return true;
 }
 
 }  // namespace treebench::bench

@@ -6,43 +6,77 @@
 #include <vector>
 
 #include "src/benchdb/derby.h"
+#include "src/common/status.h"
 #include "src/harness/cell_runner.h"
 #include "src/stats/stat_store.h"
 
 namespace treebench::bench {
 
-/// Command-line options shared by all paper-reproduction benches.
+/// Command-line options of every bench, as parsed by ParseArgs.
 struct BenchOptions {
   /// Divides paper-scale cardinalities (and the modeled RAM/caches) by this
   /// factor. 1 = paper scale.
   uint32_t scale = 1;
-  /// Optional CSV output path ("" = stdout tables only).
-  std::string csv_path;
-  /// Optional JSON output path for the bench's StatStore records ("" = no
-  /// JSON). run_benches.sh points every bench at bench_json/<name>.json and
-  /// consolidates them into BENCH_results.json.
+  /// --scale=0: the bench's CI smoke configuration (scale 64 plus whatever
+  /// sizes the bench itself shrinks).
+  bool smoke = false;
+  /// Cell-runner workers; 0 = resolve from TREEBENCH_JOBS / the host.
+  uint32_t jobs = 0;
+  /// Sweep sizes; 0 = the bench's own default.
+  uint32_t clients = 0;
+  uint32_t queries = 0;
+  uint32_t servers = 0;
+  /// Artifact paths and directories; "" = not requested.
   std::string stats_json_path;
-  /// Optional path for the EXPLAIN ANALYZE JSON trace of the bench's runs
-  /// ("" = no trace export). Benches that support it document what they
-  /// write; CI uploads fig09's as an artifact.
-  std::string trace_json_path;
-  /// Optional path for the bench's host-side performance record ("" = no
-  /// export): `{"wall_seconds": ..., "peak_rss_kb": ...}` plus — for benches
-  /// driven through BenchCells — `"jobs"`, `"cells"`, `"pool_occupancy"`,
-  /// and a per-cell wall-clock map; written at process exit (atexit — no
-  /// per-bench plumbing needed). run_benches.sh points every bench at
-  /// bench_json/<name>_perf.json, so the consolidated BENCH_results.json
-  /// carries the wall-clock/RSS trajectory that gates the parallel harness
-  /// (ROADMAP item 5a, docs/parallel_harness.md).
   std::string perf_json_path;
+  std::string trace_json_path;
+  std::string summary_json_path;
+  std::string json_path;
+  std::string telemetry_dir;
+  std::string query_log_dir;
   bool verbose = false;
 };
 
-/// Parses --scale=N, --csv=PATH, --stats-json=PATH, --trace-json=PATH,
-/// --perf-json=PATH, --verbose; ignores unknown flags (so google-benchmark
-/// style flags pass through if ever mixed). --perf-json also starts the
-/// wall-clock timer and registers the exit-time writer.
-BenchOptions ParseArgs(int argc, char** argv);
+/// The bench front end. Every bench accepts every flag below; --scale and
+/// --perf-json act in all of them, and each bench's header names the other
+/// flags it reads (the rest are ignored there).
+///
+///   --scale=N            N >= 1 divides paper scale by N; 0 = smoke
+///                        (smoke = true, scale = 64); absent = the bench's
+///                        `default_scale`
+///   --jobs=N             cell-runner workers, 1..1023 (absent: env
+///                        TREEBENCH_JOBS, else hardware concurrency)
+///   --clients=N          sweep client count(s), N >= 1
+///   --queries=N          measured queries per client, N >= 1
+///   --servers=N          sweep server count(s), N >= 1
+///   --stats-json=PATH    StatStore records as a JSON array
+///   --perf-json=PATH     host perf record: wall_seconds, peak_rss_kb and,
+///                        for cell benches, jobs / cells / pool_occupancy /
+///                        per-cell wall seconds; written at process exit
+///   --trace-json=PATH    EXPLAIN ANALYZE trace export
+///   --summary-json=PATH  flat {"key": number} summary for check_regression
+///   --json=PATH          workload reports as a JSON array
+///   --telemetry-dir=DIR  per-run telemetry time series and traces
+///   --query-log-dir=DIR  per-run query flight-recorder logs
+///   --verbose            extra diagnostic output
+///
+/// An unknown flag, an empty value, or a malformed or out-of-range number
+/// exits 2 with a one-line usage message before any work starts.
+/// --perf-json also starts the wall-clock timer and registers the exit-time
+/// writer; if that write fails the process exits 1.
+BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale = 1);
+
+/// The parser behind ParseArgs, without its side effects: returns
+/// InvalidArgument instead of exiting, and registers no perf writer.
+Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
+                                  uint32_t default_scale = 1);
+
+/// Writes one requested artifact: an empty `path` means not requested and
+/// returns true. On success prints "wrote <what> to <path>"; on failure
+/// prints the error to stderr and returns false, and the bench must then
+/// exit nonzero.
+bool WriteArtifact(const std::string& path, const std::string& content,
+                   const std::string& what);
 
 /// Prints a ruled table: header row then rows; columns auto-sized.
 void PrintTable(const std::string& title,
@@ -84,11 +118,9 @@ void RunTreeQueryGrid(DerbyDb& derby, const std::string& db_label,
                       const PaperGrid& paper, const BenchOptions& opts,
                       StatStore* stats);
 
-/// Dumps the stat store to opts.csv_path when set.
-void MaybeExportCsv(const StatStore& stats, const BenchOptions& opts);
-
-/// Dumps the stat store as JSON to opts.stats_json_path when set.
-void MaybeExportStatsJson(const StatStore& stats, const BenchOptions& opts);
+/// Writes the stat store as JSON to opts.stats_json_path when set; false
+/// when that write failed.
+bool MaybeExportStatsJson(const StatStore& stats, const BenchOptions& opts);
 
 }  // namespace treebench::bench
 

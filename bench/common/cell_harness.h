@@ -22,10 +22,6 @@ FILE* Out();
 /// the previous stream so callers can restore it.
 FILE* SetThreadOut(FILE* f);
 
-/// Parses --jobs=N from argv (0/absent = auto), then resolves the worker
-/// count: explicit flag > TREEBENCH_JOBS env > hardware concurrency.
-uint32_t ParseJobs(int argc, char** argv);
-
 /// The per-bench driver over CellRunner: benches enumerate their hermetic
 /// cells with Add() in the exact order a sequential program would run them,
 /// then call RunAll() once. Cell bodies print through bench::Out() and
@@ -35,7 +31,10 @@ uint32_t ParseJobs(int argc, char** argv);
 /// order, so artifacts are byte-identical at any --jobs value.
 class BenchCells {
  public:
-  explicit BenchCells(uint32_t jobs) : runner_(jobs) {}
+  /// `jobs` is BenchOptions::jobs: 0 resolves to TREEBENCH_JOBS, else the
+  /// hardware concurrency.
+  explicit BenchCells(uint32_t jobs)
+      : runner_(CellRunner::ResolveJobs(jobs)) {}
 
   /// Adds a cell. The body runs on a pool thread with Out() bound to the
   /// cell's capture stream; it must touch only its own out-slot(s).

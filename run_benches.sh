@@ -1,5 +1,6 @@
 #!/bin/bash
-# Runs every paper-reproduction bench at paper scale (--scale=1). All
+# Runs every paper-reproduction bench, at each bench's default scale unless
+# a --scale flag is given (--scale=0 is every bench's smoke run). All
 # artifacts land under bench_json/: the tee'd text log
 # (bench_json/bench_output.txt), one StatStore JSON per bench, one host-perf
 # record per bench (<name>_perf.json: wall-clock seconds + peak RSS), and
@@ -11,13 +12,15 @@
 #   (relative paths land inside bench_json/); every remaining argument is
 #   passed to each bench (e.g. --scale=8, --jobs=8).
 #
-# --jobs=N is forwarded to every bench: the cell-converted sweeps
+# Every bench accepts every bench flag (bench/common/bench_util.h) and exits
+# 2 on an unknown or malformed one. --jobs=N runs the cell-converted sweeps
 # (workload_scaleout, shard_scaleout, update_mix, batch_ablation,
-# reclustering, fault_campaign) run their bench cells on an N-worker pool
-# and still produce byte-identical text/JSON artifacts at any N
-# (docs/parallel_harness.md); the remaining benches ignore the flag. Only
-# the *_perf.json host-perf records (and their perf_summary.json rollup)
-# legitimately vary with N.
+# reclustering, fault_campaign) on an N-worker pool; they still produce
+# byte-identical text/JSON artifacts at any N (docs/parallel_harness.md).
+# Only the *_perf.json host-perf records (and their perf_summary.json
+# rollup) legitimately vary with N.
+#
+# Exits 1, naming the benches on stderr, if any bench exited nonzero.
 # Env: TREEBENCH_SKIP_MICRO=1 skips the google-benchmark micro bench (host
 #   wall clock, slow); CI sets it for smoke runs.
 #   TREEBENCH_JOBS=N sets the default worker count when --jobs is absent.
@@ -39,6 +42,7 @@ fi
 RESULTS=$JSON_DIR/BENCH_results.json
 
 : > "$OUT"
+FAILED=
 
 for b in build/bench/bench_fig06_selection build/bench/bench_fig07_sorted_index \
          build/bench/bench_fig09_cost_breakdown build/bench/bench_fig10_hash_sizes \
@@ -55,6 +59,7 @@ for b in build/bench/bench_fig06_selection build/bench/bench_fig07_sorted_index 
   echo "===================== $b =====================" | tee -a "$OUT"
   "$b" "$@" "--stats-json=$JSON_DIR/$name.json" \
        "--perf-json=$JSON_DIR/${name}_perf.json" 2>&1 | tee -a "$OUT"
+  [ "${PIPESTATUS[0]}" -eq 0 ] || FAILED="$FAILED $name"
   echo | tee -a "$OUT"
 done
 
@@ -102,4 +107,9 @@ echo "wrote host-perf summary to $PERF_SUMMARY" | tee -a "$OUT"
 if [ "${TREEBENCH_SKIP_MICRO:-0}" != "1" ]; then
   echo "===================== build/bench/bench_micro_engine =====================" | tee -a "$OUT"
   build/bench/bench_micro_engine --benchmark_min_time=0.1 2>&1 | tee -a "$OUT"
+fi
+
+if [ -n "$FAILED" ]; then
+  echo "run_benches.sh: bench(es) exited nonzero:$FAILED" >&2
+  exit 1
 fi

@@ -40,4 +40,27 @@ std::string WithThousands(uint64_t v) {
   return {out.rbegin(), out.rend()};
 }
 
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (u < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(u));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 }  // namespace treebench

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <cstdio>
 
+#include "src/common/string_util.h"
+
 namespace treebench {
 
 Metrics TraceNode::SelfMetrics() const {
@@ -129,14 +131,7 @@ void JsonNode(const TraceNode& node, int depth,
   std::string pad(static_cast<size_t>(depth) * 2, ' ');
   std::string pad2 = pad + "  ";
   *out += pad + "{\n";
-  // Names are engine-chosen ASCII (operator names, collection names); only
-  // quotes and backslashes could need escaping.
-  std::string escaped;
-  for (char c : node.name) {
-    if (c == '"' || c == '\\') escaped += '\\';
-    escaped += c;
-  }
-  *out += pad2 + "\"name\": \"" + escaped + "\",\n";
+  *out += pad2 + "\"name\": \"" + JsonEscape(node.name) + "\",\n";
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"rows\": %llu,\n",
                 (unsigned long long)node.rows);

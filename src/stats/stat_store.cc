@@ -6,6 +6,9 @@
 #include <set>
 #include <tuple>
 
+#include "src/common/file_util.h"
+#include "src/common/string_util.h"
+
 namespace treebench {
 
 void StatRecord::FillFrom(const Metrics& m, double seconds) {
@@ -88,14 +91,9 @@ std::vector<const StatRecord*> StatStore::WinnersByGroup() const {
 }
 
 Status StatStore::ExportCsv(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  std::fprintf(f, "%s\n", StatRecord::CsvHeader().c_str());
-  for (const auto& r : records_) {
-    std::fprintf(f, "%s\n", r.ToCsvRow().c_str());
-  }
-  std::fclose(f);
-  return Status::OK();
+  std::string csv = StatRecord::CsvHeader() + "\n";
+  for (const auto& r : records_) csv += r.ToCsvRow() + "\n";
+  return WriteFile(path, csv);
 }
 
 namespace {
@@ -107,16 +105,7 @@ void AppendJsonString(std::string* out, const char* key,
   *out += '"';
   *out += key;
   *out += "\": \"";
-  for (char c : value) {
-    if (c == '"' || c == '\\') {
-      *out += '\\';
-      *out += c;
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else {
-      *out += c;
-    }
-  }
+  *out += JsonEscape(value);
   *out += '"';
 }
 
@@ -183,12 +172,7 @@ std::string StatStore::ToJson() const {
 }
 
 Status StatStore::ExportJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::Internal("cannot open " + path);
-  const std::string json = ToJson();
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return Status::OK();
+  return WriteFile(path, ToJson());
 }
 
 Status StatStore::ExportGnuplot(

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "src/common/string_util.h"
+
 namespace treebench::telemetry {
 
 const double* FlatRun::Find(const std::string& key) const {
@@ -219,7 +221,8 @@ std::string RegressionResult::DiffJson() const {
   for (size_t i = 0; i < findings.size(); ++i) {
     const RegressionFinding& f = findings[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"kind\": \"" + f.kind + "\", \"key\": \"" + f.key + "\"";
+    out += "    {\"kind\": \"" + f.kind + "\", \"key\": \"" +
+           JsonEscape(f.key) + "\"";
     if (f.has_baseline) {
       std::snprintf(buf, sizeof(buf), ", \"baseline\": %.9g", f.baseline);
       out += buf;

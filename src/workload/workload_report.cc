@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "src/common/string_util.h"
+
 namespace treebench {
 
 namespace {
@@ -144,12 +146,14 @@ std::string WorkloadReport::ToJson() const {
     out += "  \"slo\": {\n    \"objectives\": [\n";
     for (size_t i = 0; i < slo_objectives.size(); ++i) {
       const telemetry::SloObjectiveSummary& o = slo_objectives[i];
+      // The name is user-set: escaped, and kept out of the fixed buffer.
+      out += "      {\"name\": \"" + JsonEscape(o.name) + "\"";
       char row[256];
       std::snprintf(row, sizeof(row),
-                    "      {\"name\": \"%s\", \"total\": %llu, \"bad\": "
+                    ", \"total\": %llu, \"bad\": "
                     "%llu, \"attainment\": %.9g, \"alerts_fired\": %llu, "
                     "\"active_at_end\": %u}%s\n",
-                    o.name.c_str(), (unsigned long long)o.total,
+                    (unsigned long long)o.total,
                     (unsigned long long)o.bad, o.attainment,
                     (unsigned long long)o.alerts_fired,
                     o.active_at_end ? 1u : 0u,
@@ -159,12 +163,13 @@ std::string WorkloadReport::ToJson() const {
     out += "    ],\n    \"alerts\": [\n";
     for (size_t i = 0; i < slo_alerts.size(); ++i) {
       const telemetry::SloAlertEvent& a = slo_alerts[i];
+      out += "      {\"objective\": \"" + JsonEscape(a.objective) + "\"";
       char row[256];
       std::snprintf(row, sizeof(row),
-                    "      {\"objective\": \"%s\", \"event\": \"%s\", "
+                    ", \"event\": \"%s\", "
                     "\"t_seconds\": %.9g, \"burn_long\": %.9g, "
                     "\"burn_short\": %.9g}%s\n",
-                    a.objective.c_str(), a.fired ? "fire" : "clear",
+                    a.fired ? "fire" : "clear",
                     a.t_ns / 1e9, a.burn_long, a.burn_short,
                     i + 1 < slo_alerts.size() ? "," : "");
       out += row;

@@ -221,6 +221,28 @@ TEST(WorkloadObsTest, RejectsMistunedObjectives) {
   EXPECT_FALSE(report.ok());
 }
 
+TEST(WorkloadObsTest, SloNamesAreEscapedAndNeverTruncated) {
+  // Objective names are user-set; the report must stay valid JSON for any
+  // of them, however long.
+  const std::string name = "p99 \"tail\"\n" + std::string(300, 'x');
+  const std::string escaped = "p99 \\\"tail\\\"\\n" + std::string(300, 'x');
+  WorkloadReport report;
+  report.has_slo = true;
+  telemetry::SloObjectiveSummary objective;
+  objective.name = name;
+  report.slo_objectives.push_back(objective);
+  telemetry::SloAlertEvent alert;
+  alert.objective = name;
+  alert.fired = true;
+  report.slo_alerts.push_back(alert);
+  const std::string json = report.ToJson();
+  EXPECT_NE(json.find("{\"name\": \"" + escaped + "\", \"total\": 0,"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"objective\": \"" + escaped +
+                      "\", \"event\": \"fire\","),
+            std::string::npos);
+}
+
 TEST(WorkloadObsTest, PerfettoSlicesCarryArgsAndAlertsOnlyWhenEnabled) {
   auto derby = BuildSmallDerby();
 

@@ -145,6 +145,14 @@ Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
                                   uint32_t default_scale) {
   BenchOptions opts;
   opts.scale = default_scale;
+  // The environment default goes through --jobs's parser and bound; an
+  // explicit --jobs then overrides it.
+  if (const char* env = std::getenv("TREEBENCH_JOBS")) {
+    if (!ParseNumber(env, 1, 1023, &opts.jobs)) {
+      return Status::InvalidArgument("bad value in TREEBENCH_JOBS=" +
+                                     std::string(env));
+    }
+  }
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     bool known = arg == "--verbose";

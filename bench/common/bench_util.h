@@ -20,7 +20,7 @@ struct BenchOptions {
   /// --scale=0: the bench's CI smoke configuration (scale 64 plus whatever
   /// sizes the bench itself shrinks).
   bool smoke = false;
-  /// Cell-runner workers; 0 = resolve from TREEBENCH_JOBS / the host.
+  /// Cell-runner workers; 0 = the host's hardware concurrency.
   uint32_t jobs = 0;
   /// Sweep sizes; 0 = the bench's own default.
   uint32_t clients = 0;
@@ -45,7 +45,8 @@ struct BenchOptions {
 ///                        (smoke = true, scale = 64); absent = the bench's
 ///                        `default_scale`
 ///   --jobs=N             cell-runner workers, 1..1023 (absent: env
-///                        TREEBENCH_JOBS, else hardware concurrency)
+///                        TREEBENCH_JOBS, same parser and bound, else
+///                        hardware concurrency)
 ///   --clients=N          sweep client count(s), N >= 1
 ///   --queries=N          measured queries per client, N >= 1
 ///   --servers=N          sweep server count(s), N >= 1
@@ -61,7 +62,8 @@ struct BenchOptions {
 ///   --verbose            extra diagnostic output
 ///
 /// An unknown flag, an empty value, or a malformed or out-of-range number
-/// exits 2 with a one-line usage message before any work starts.
+/// (in a flag or in TREEBENCH_JOBS) exits 2 with a one-line usage message
+/// before any work starts.
 /// --perf-json also starts the wall-clock timer and registers the exit-time
 /// writer; if that write fails the process exits 1.
 BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale = 1);

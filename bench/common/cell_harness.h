@@ -31,8 +31,7 @@ FILE* SetThreadOut(FILE* f);
 /// order, so artifacts are byte-identical at any --jobs value.
 class BenchCells {
  public:
-  /// `jobs` is BenchOptions::jobs: 0 resolves to TREEBENCH_JOBS, else the
-  /// hardware concurrency.
+  /// `jobs` is BenchOptions::jobs: 0 resolves to the hardware concurrency.
   explicit BenchCells(uint32_t jobs)
       : runner_(CellRunner::ResolveJobs(jobs)) {}
 

@@ -90,13 +90,7 @@ void TwoLevelCache::PollCrash(uint32_t shard) {
   ++s.crash_epoch;
   // The partition rejoins cold. Its dirty pages are restored from the
   // replica / recovery log during the window — not separately charged, the
-  // recovery window is the modeled cost — so their stored images stay
-  // consistent with their checksums.
-  s.cache.FlushDirty([&](uint64_t key) {
-    Result<uint8_t*> raw = disk_->RawPage(static_cast<uint16_t>(key >> 32),
-                                          static_cast<uint32_t>(key));
-    if (raw.ok()) StampPageChecksum(*raw);
-  });
+  // recovery window is the modeled cost.
   s.cache.Clear();
 }
 
@@ -180,7 +174,7 @@ Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
   }
   if (for_write) {
     client_->MarkDirty(key);
-    disk_->JournalPageWrite(file_id, page_id);
+    disk_->NoteWrite(file_id, page_id);
   }
   return disk_->RawPage(file_id, page_id);
 }
@@ -238,7 +232,8 @@ Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
   sim_->ChargeDiskRead();
   uint16_t file_id = static_cast<uint16_t>(key >> 32);
   uint32_t page_id = static_cast<uint32_t>(key);
-  TB_ASSIGN_OR_RETURN(const uint8_t* raw, disk_->RawPage(file_id, page_id));
+  TB_ASSIGN_OR_RETURN(const uint8_t* raw,
+                      disk_->PageForFill(file_id, page_id));
   if (!VerifyPageChecksum(raw)) {
     ++m.corruptions_detected;
     return Status::Corruption("page checksum mismatch on cache fill (file " +
@@ -315,8 +310,7 @@ Status TwoLevelCache::WriteToDisk(uint64_t key, uint32_t shard) {
   }
   uint16_t file_id = static_cast<uint16_t>(key >> 32);
   uint32_t page_id = static_cast<uint32_t>(key);
-  TB_ASSIGN_OR_RETURN(uint8_t* raw, disk_->RawPage(file_id, page_id));
-  StampPageChecksum(raw);
+  TB_ASSIGN_OR_RETURN(uint8_t* raw, disk_->StampPage(file_id, page_id));
   if (sim_->faults().ShouldFail(FaultSite::kPageWriteCorruption,
                                 sim_->elapsed_ns())) {
     // Silent bit rot on the way to the platter: the stored image no longer
@@ -338,6 +332,7 @@ Result<std::pair<uint32_t, uint8_t*>> TwoLevelCache::NewPage(
   }
   if (ev.valid && ev.dirty) TB_RETURN_IF_ERROR(WriteBackToServer(ev.key));
   TB_ASSIGN_OR_RETURN(uint8_t* raw, disk_->RawPage(file_id, page_id));
+  disk_->NoteWrite(file_id, page_id);
   return std::pair<uint32_t, uint8_t*>(page_id, raw);
 }
 
@@ -494,19 +489,6 @@ Status TwoLevelCache::Shutdown() {
 
 void TwoLevelCache::DropAll() {
   DrainPrefetchedAsWasted();
-  // Dropping a cache level forgets dirty flags, but the page bytes
-  // themselves were already applied in place (the store keeps a single
-  // copy of truth) — so the stored images must be left coherent with
-  // their checksum trailers or the next fill reports phantom corruption.
-  // Like the crash path above, the restamp is free: a cold restart is a
-  // modeling construct, not a measured I/O sequence.
-  auto restamp = [&](uint64_t key) {
-    Result<uint8_t*> raw = disk_->RawPage(static_cast<uint16_t>(key >> 32),
-                                          static_cast<uint32_t>(key));
-    if (raw.ok()) StampPageChecksum(*raw);
-  };
-  client_->FlushDirty(restamp);
-  for (auto& s : shards_) s->cache.FlushDirty(restamp);
   client_->Clear();
   for (auto& s : shards_) s->cache.Clear();
 }

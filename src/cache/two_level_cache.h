@@ -84,13 +84,13 @@ struct CacheConfig {
 ///    transiently (FaultSite::kRpc);
 ///  - every server-level disk read verifies the page checksum and can fail
 ///    (FaultSite::kDiskRead) or detect corruption (kCorruption);
-///  - every server-level disk write stamps the checksum and can fail
-///    (FaultSite::kDiskWrite) or corrupt the page (kPageWriteCorruption);
+///  - every server-level disk write can fail (FaultSite::kDiskWrite) or
+///    corrupt the page (kPageWriteCorruption);
 ///  - every routed access polls FaultSite::kServerCrash for its shard;
 ///    a crashed shard blackholes RPCs (kServerBlackhole) until it rejoins
 ///    cold-cached after CostModel::server_recovery_ns;
-///  - the first write access to a page inside an open undo epoch journals
-///    its pre-image for rollback.
+///  - every write access is reported to DiskManager::NoteWrite, which
+///    owns the checksum trailers and the undo journal's pre-images.
 class TwoLevelCache {
  public:
   TwoLevelCache(DiskManager* disk, SimContext* sim, CacheConfig config,
@@ -117,11 +117,11 @@ class TwoLevelCache {
   Result<const uint8_t*> GetPage(uint16_t file_id, uint32_t page_id);
 
   /// Write access: as GetPage, plus the page is marked dirty in the client
-  /// cache (and journaled if an undo epoch is open).
+  /// cache and the write is noted at the disk (DiskManager::NoteWrite).
   Result<uint8_t*> GetPageForWrite(uint16_t file_id, uint32_t page_id);
 
   /// Allocates a fresh page in `file_id`; it is born resident and dirty in
-  /// the client cache (no read I/O).
+  /// the client cache (no read I/O), its write noted like GetPageForWrite's.
   Result<std::pair<uint32_t, uint8_t*>> NewPage(uint16_t file_id);
 
   /// Vectored fetch (docs/fetch_batching.md): brings every non-resident
@@ -210,10 +210,9 @@ class TwoLevelCache {
   /// the server (one write-back RPC each, charged to the calling clock) and
   /// clears their client dirty bits. The commit path of an update
   /// transaction uses this to publish its written pages before releasing
-  /// the page locks (docs/transaction_model.md): page bytes mutate in place
-  /// in the store, so a page that stayed client-dirty past commit would be
-  /// read by other clients against a stale checksum trailer. Keys that are
-  /// clean or non-resident are skipped for free.
+  /// the page locks (docs/transaction_model.md), so no page stays
+  /// client-dirty past commit. Keys that are clean or non-resident are
+  /// skipped for free.
   Status FlushKeys(std::span<const uint64_t> keys);
 
   /// Ships all dirty client pages to the server and all dirty server pages
@@ -320,8 +319,9 @@ class TwoLevelCache {
   /// through the blackholed RPC path.
   Status WriteBackToServer(uint64_t key);
 
-  /// Writes one page of `shard`'s partition to disk: stamps the checksum,
-  /// charges the write, and applies injected write faults / corruption.
+  /// Writes one page of `shard`'s partition to disk: stamps the checksum
+  /// (DiskManager::StampPage), charges the write, and applies injected
+  /// write faults / corruption.
   Status WriteToDisk(uint64_t key, uint32_t shard);
 
   /// The per-shard leg of FetchPages: one group RPC (+ retries) for the

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <mutex>
 #include <stdexcept>
@@ -205,13 +204,6 @@ double CellRunner::occupancy() const {
 uint32_t CellRunner::ResolveJobs(uint32_t requested) {
   if (requested > 0) {
     return requested;
-  }
-  if (const char* env = std::getenv("TREEBENCH_JOBS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v < 1024) {
-      return static_cast<uint32_t>(v);
-    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -67,10 +67,9 @@ class CellRunner {
   /// Sum(cell wall) / (jobs * run wall): 1.0 = perfectly busy pool.
   double occupancy() const;
 
-  /// Resolves the worker count for a bench invocation:
-  ///   requested > 0        -> requested (explicit --jobs=N)
-  ///   env TREEBENCH_JOBS   -> that value, when > 0
-  ///   otherwise            -> std::thread::hardware_concurrency() (min 1)
+  /// Resolves the worker count for a bench invocation: `requested` when
+  /// > 0 (--jobs=N or TREEBENCH_JOBS, validated by the bench's flag
+  /// parser), otherwise std::thread::hardware_concurrency() (min 1).
   static uint32_t ResolveJobs(uint32_t requested);
 
  private:

@@ -17,7 +17,7 @@ uint64_t PageKey(uint16_t file_id, uint32_t page_id) {
 
 uint16_t DiskManager::CreateFile(std::string name) {
   TB_CHECK(files_.size() < 0xFFFF);
-  files_.push_back(FileInfo{std::move(name), {}});
+  files_.push_back(FileInfo{std::move(name), {}, {}});
   return static_cast<uint16_t>(files_.size() - 1);
 }
 
@@ -43,6 +43,7 @@ uint32_t DiskManager::AllocatePage(uint16_t file_id) {
   Page(buf.get()).Init();
   StampPageChecksum(buf.get());
   pages.push_back(std::move(buf));
+  files_[file_id].stale.push_back(0);
   return static_cast<uint32_t>(pages.size() - 1);
 }
 
@@ -80,6 +81,37 @@ uint64_t DiskManager::TotalBytes() const {
   return total;
 }
 
+void DiskManager::NoteWrite(uint16_t file_id, uint32_t page_id) {
+  if (file_id >= files_.size() || page_id >= files_[file_id].pages.size()) {
+    return;
+  }
+  files_[file_id].stale[page_id] = 1;
+  if (!WouldJournal(file_id, page_id)) return;
+  auto img = std::make_unique<uint8_t[]>(kPageSize);
+  std::memcpy(img.get(), files_[file_id].pages[page_id].get(), kPageSize);
+  undo_images_.emplace(PageKey(file_id, page_id), std::move(img));
+}
+
+Result<uint8_t*> DiskManager::StampPage(uint16_t file_id, uint32_t page_id) {
+  TB_ASSIGN_OR_RETURN(uint8_t* raw, RawPage(file_id, page_id));
+  StampPageChecksum(raw);
+  files_[file_id].stale[page_id] = 0;
+  return raw;
+}
+
+Result<const uint8_t*> DiskManager::PageForFill(uint16_t file_id,
+                                                uint32_t page_id) {
+  TB_ASSIGN_OR_RETURN(uint8_t* raw, TrailerStale(file_id, page_id)
+                                         ? StampPage(file_id, page_id)
+                                         : RawPage(file_id, page_id));
+  return static_cast<const uint8_t*>(raw);
+}
+
+bool DiskManager::TrailerStale(uint16_t file_id, uint32_t page_id) const {
+  return file_id < files_.size() && page_id < files_[file_id].stale.size() &&
+         files_[file_id].stale[page_id] != 0;
+}
+
 void DiskManager::BeginUndoEpoch() {
   undo_open_ = true;
   undo_images_.clear();
@@ -88,18 +120,6 @@ void DiskManager::BeginUndoEpoch() {
   for (const auto& f : files_) {
     undo_base_pages_.push_back(static_cast<uint32_t>(f.pages.size()));
   }
-}
-
-void DiskManager::JournalPageWrite(uint16_t file_id, uint32_t page_id) {
-  if (!undo_open_) return;
-  // Pages (or whole files) born after epoch begin are handled by truncation.
-  if (file_id >= undo_base_pages_.size()) return;
-  if (page_id >= undo_base_pages_[file_id]) return;
-  uint64_t key = PageKey(file_id, page_id);
-  if (undo_images_.count(key)) return;
-  auto img = std::make_unique<uint8_t[]>(kPageSize);
-  std::memcpy(img.get(), files_[file_id].pages[page_id].get(), kPageSize);
-  undo_images_.emplace(key, std::move(img));
 }
 
 bool DiskManager::WouldJournal(uint16_t file_id, uint32_t page_id) const {
@@ -122,7 +142,10 @@ std::vector<uint64_t> DiskManager::RollbackUndoEpoch() {
   for (auto& [key, img] : undo_images_) {
     uint16_t file_id = static_cast<uint16_t>(key >> 32);
     uint32_t page_id = static_cast<uint32_t>(key);
-    std::memcpy(files_[file_id].pages[page_id].get(), img.get(), kPageSize);
+    uint8_t* page = files_[file_id].pages[page_id].get();
+    std::memcpy(page, img.get(), kPageSize);
+    StampPageChecksum(page);
+    files_[file_id].stale[page_id] = 0;
     affected.push_back(key);
   }
   for (size_t i = 0; i < files_.size(); ++i) {
@@ -132,7 +155,10 @@ std::vector<uint64_t> DiskManager::RollbackUndoEpoch() {
       affected.push_back(PageKey(static_cast<uint16_t>(i),
                                  static_cast<uint32_t>(p)));
     }
-    if (files_[i].pages.size() > base) files_[i].pages.resize(base);
+    if (files_[i].pages.size() > base) {
+      files_[i].pages.resize(base);
+      files_[i].stale.resize(base);
+    }
   }
   // Files born inside the epoch disappear entirely — an aborted insert must
   // not leave an empty zombie file behind, or the rolled-back image would

@@ -22,12 +22,21 @@ namespace treebench {
 /// charges disk reads/writes and RPCs; direct RawPage() access is reserved
 /// for the cache layer and for tests.
 ///
+/// The store keeps a single copy of every page: cache levels hold keys, and
+/// writers mutate these bytes in place. The DiskManager alone decides when a
+/// page's checksum trailer is brought up to date. The cache reports every
+/// write access (NoteWrite), which marks the trailer stale; a disk write
+/// stamps it (StampPage); a cache fill stamps a stale trailer before
+/// verifying (PageForFill), because the in-place bytes are the newest image
+/// and a stale trailer is no evidence of corruption. A page whose trailer
+/// is not marked stale is coherent, so any change made behind the cache's
+/// back (injected corruption) fails verification at its next fill.
+///
 /// For crash recovery the DiskManager keeps an optional undo journal: while
-/// an epoch is open, the cache reports the first write-access to each page
-/// (JournalPageWrite) and the journal captures that page's pre-image. A
-/// rollback restores every pre-image and truncates files back to their
-/// page counts at epoch begin, taking the disk to its exact state at the
-/// last checkpoint.
+/// an epoch is open, the first noted write to each page captures that
+/// page's pre-image. A rollback restores every pre-image and truncates
+/// files back to their page counts at epoch begin, taking the disk to its
+/// exact state at the last checkpoint.
 class DiskManager {
  public:
   DiskManager() = default;
@@ -57,6 +66,26 @@ class DiskManager {
   /// Total bytes across all files (what the paper's "buy big" disk holds).
   uint64_t TotalBytes() const;
 
+  // ---- Checksum trailers ----
+
+  /// Notes a write access to a page: marks its trailer stale and, while an
+  /// undo epoch is open, captures the pre-image if WouldJournal. No-op for
+  /// an unknown file or page.
+  void NoteWrite(uint16_t file_id, uint32_t page_id);
+
+  /// A disk write: stamps the trailer and clears the stale mark; returns
+  /// the page bytes.
+  Result<uint8_t*> StampPage(uint16_t file_id, uint32_t page_id);
+
+  /// The page as a cache fill reads it: a trailer marked stale is stamped
+  /// first, so the caller's VerifyPageChecksum fails only on a change that
+  /// no noted write covers.
+  Result<const uint8_t*> PageForFill(uint16_t file_id, uint32_t page_id);
+
+  /// True while the page's trailer awaits a stamp (noted write since the
+  /// last stamp). False for an unknown file or page.
+  bool TrailerStale(uint16_t file_id, uint32_t page_id) const;
+
   // ---- Undo journal ----
 
   /// Opens a new undo epoch, discarding any previous one. Records current
@@ -65,11 +94,6 @@ class DiskManager {
 
   /// True while an epoch is open.
   bool UndoEpochOpen() const { return undo_open_; }
-
-  /// Captures the pre-image of a page about to be modified. Cheap no-op
-  /// when no epoch is open or the page is already journaled. Pages born
-  /// after epoch begin need no pre-image (rollback truncates them away).
-  void JournalPageWrite(uint16_t file_id, uint32_t page_id);
 
   /// True if a write to this page would capture a fresh pre-image now: an
   /// epoch is open, the page existed at epoch begin, and no pre-image is
@@ -83,7 +107,8 @@ class DiskManager {
   /// Declares the epoch's work durable; pre-images are discarded.
   void CommitUndoEpoch();
 
-  /// Restores all journaled pre-images and truncates every file to its page
+  /// Restores all journaled pre-images, each with a fresh trailer (the
+  /// restore is a disk write), and truncates every file to its page
   /// count at epoch begin (files created after begin shrink to zero pages
   /// but keep their ids). Closes the epoch. Returns every affected page key
   /// ((file_id << 32) | page_id, sorted) — restored pre-images plus
@@ -94,6 +119,7 @@ class DiskManager {
   struct FileInfo {
     std::string name;
     std::vector<std::unique_ptr<uint8_t[]>> pages;
+    std::vector<uint8_t> stale;  // per page: 1 while the trailer awaits a stamp
   };
 
   std::vector<FileInfo> files_;

@@ -13,11 +13,10 @@ inline constexpr uint32_t kPageSize = 4096;
 
 /// Every page — slotted or raw-layout (B+-tree nodes, Rid pages, set-chain
 /// pages) — reserves its last 4 bytes for a CRC32 over bytes
-/// [0, kPageChecksumOffset). The checksum is stamped whenever a page is
-/// written to disk and verified whenever the server cache fills from disk,
-/// so silent corruption surfaces as StatusCode::kCorruption instead of
-/// wrong query results. While a page sits dirty in cache the trailer is
-/// stale; only disk images are guaranteed coherent.
+/// [0, kPageChecksumOffset). It is verified whenever the server cache fills
+/// from disk, so silent corruption surfaces as StatusCode::kCorruption
+/// instead of wrong query results. DiskManager decides when a trailer is
+/// stamped (see its class comment).
 inline constexpr uint32_t kPageChecksumOffset = kPageSize - 4;
 
 /// CRC32 (reflected, polynomial 0xEDB88320) over `len` bytes, computed

@@ -43,9 +43,8 @@ Status TxnManager::Commit(Transaction* txn) {
   sim.ChargeRedoBytes(txn->RedoBytes());
   sim.ChargeTxnCommit();
   // Write-back commit protocol: the pages this transaction dirtied ship to
-  // the server BEFORE the locks release. Page bytes mutate in place in the
-  // store, so a page left client-dirty past commit would be filled by other
-  // clients against a stale checksum trailer.
+  // the server BEFORE the locks release, so no page stays client-dirty past
+  // commit.
   TB_RETURN_IF_ERROR(db_->cache().FlushKeys(txn->written_keys_));
   if (journal_owner_ == txn->id()) {
     if (db_->disk().UndoEpochOpen()) db_->disk().CommitUndoEpoch();
@@ -74,15 +73,6 @@ Status TxnManager::Abort(Transaction* txn) {
     size_t restored = db_->disk().UndoImageCount();
     std::vector<uint64_t> affected = db_->disk().RollbackUndoEpoch();
     for (size_t i = 0; i < restored; ++i) sim.ChargeDiskWrite();
-    // Each restore is a modeled disk write (charged above), and every disk
-    // write stamps the trailer — a captured pre-image may carry a stale
-    // checksum if the page was already client-dirty when it was journaled.
-    // Truncated pages (born inside the transaction) no longer resolve.
-    for (uint64_t key : affected) {
-      Result<uint8_t*> raw = db_->disk().RawPage(
-          static_cast<uint16_t>(key >> 32), static_cast<uint32_t>(key));
-      if (raw.ok()) StampPageChecksum(*raw);
-    }
     db_->cache().DiscardKeys(affected);
     db_->store().ResetFileCursors();
     db_->store().DropAllHandles();

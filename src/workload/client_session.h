@@ -10,7 +10,7 @@
 #include "src/common/random.h"
 #include "src/cost/sim_context.h"
 #include "src/objects/object_store.h"
-#include "src/workload/latency_histogram.h"
+#include "src/telemetry/histogram.h"
 #include "src/workload/workload_spec.h"
 
 namespace treebench {
@@ -67,7 +67,7 @@ class ClientSession {
   /// only — preparation, cold restarts and think time between queries are
   /// excluded, exactly like the single-client path excludes them.
   Metrics measured_metrics;
-  LatencyHistogram latencies;
+  telemetry::Histogram latencies;
   std::vector<double> completion_seconds;
 
  private:

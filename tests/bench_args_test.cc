@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,30 @@ Result<BenchOptions> Parse(std::vector<const char*> flags,
   return TryParseArgs(static_cast<int>(flags.size()), flags.data(),
                       default_scale);
 }
+
+// Sets (or, with nullptr, unsets) TREEBENCH_JOBS for one scope and puts
+// the caller's value back afterwards.
+class ScopedJobsEnv {
+ public:
+  explicit ScopedJobsEnv(const char* value) {
+    if (const char* prev = std::getenv("TREEBENCH_JOBS")) prev_ = prev;
+    if (value != nullptr) {
+      setenv("TREEBENCH_JOBS", value, /*overwrite=*/1);
+    } else {
+      unsetenv("TREEBENCH_JOBS");
+    }
+  }
+  ~ScopedJobsEnv() {
+    if (prev_) {
+      setenv("TREEBENCH_JOBS", prev_->c_str(), 1);
+    } else {
+      unsetenv("TREEBENCH_JOBS");
+    }
+  }
+
+ private:
+  std::optional<std::string> prev_;
+};
 
 TEST(BenchArgsTest, EveryFlagRoundTrips) {
   auto opts = Parse({"--scale=8", "--jobs=3", "--clients=5", "--queries=7",
@@ -46,6 +72,7 @@ TEST(BenchArgsTest, EveryFlagRoundTrips) {
 }
 
 TEST(BenchArgsTest, AbsentFlagsGiveDefaults) {
+  ScopedJobsEnv env(nullptr);
   auto opts = Parse({});
   ASSERT_TRUE(opts.ok());
   EXPECT_EQ(opts->scale, 1u);
@@ -106,6 +133,26 @@ TEST(BenchArgsTest, RejectsMalformedOrOutOfRangeNumbers) {
   }
 }
 
+TEST(BenchArgsTest, JobsEnvIsTheDefaultAndTheFlagWins) {
+  ScopedJobsEnv env("5");
+  EXPECT_EQ(Parse({})->jobs, 5u);
+  EXPECT_EQ(Parse({"--jobs=2"})->jobs, 2u);
+  ScopedJobsEnv top("1023");
+  EXPECT_EQ(Parse({})->jobs, 1023u);
+}
+
+TEST(BenchArgsTest, RejectsMalformedOrOutOfRangeJobsEnv) {
+  for (const char* value : {"not-a-number", "", "0", "1024", "5000", "-4",
+                            "+4", " 4", "4 ", "4x", "1.5"}) {
+    ScopedJobsEnv env(value);
+    auto opts = Parse({});
+    EXPECT_FALSE(opts.ok()) << "TREEBENCH_JOBS=\"" << value << "\"";
+    EXPECT_EQ(opts.status().code(), StatusCode::kInvalidArgument) << value;
+    // An explicit --jobs does not excuse a bad environment value.
+    EXPECT_FALSE(Parse({"--jobs=2"}).ok()) << value;
+  }
+}
+
 TEST(BenchArgsTest, RejectsEmptyPaths) {
   for (const char* flag : {"--stats-json=", "--json=", "--telemetry-dir="}) {
     EXPECT_FALSE(Parse({flag}).ok()) << flag;
@@ -120,6 +167,14 @@ TEST(BenchArgsDeathTest, ParseArgsExitsTwoWithUsage) {
   const char* argv[] = {"bench_test", "--clinets=2", nullptr};
   EXPECT_EXIT(ParseArgs(2, const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2), "unknown flag --clinets=2.*usage");
+}
+
+TEST(BenchArgsDeathTest, BadJobsEnvExitsTwoWithUsage) {
+  ScopedJobsEnv env("5000");
+  const char* argv[] = {"bench_test", nullptr};
+  EXPECT_EXIT(ParseArgs(1, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "bad value in TREEBENCH_JOBS=5000.*usage");
 }
 
 std::string ReadBack(const std::string& path) {

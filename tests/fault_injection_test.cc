@@ -166,6 +166,75 @@ TEST_F(FaultyCacheTest, InjectedWriteCorruptionCaughtOnReread) {
   EXPECT_TRUE(got.status().IsCorruption());
 }
 
+// ---------------------------------------------------------------------------
+// Trailer coherence: one client's in-place writes are the newest page image,
+// so another client's fill from disk must not see them as corruption, while
+// real corruption of a coherent page still fails that fill.
+// ---------------------------------------------------------------------------
+
+TEST_F(FaultyCacheTest, AnotherClientFillsPagesWrittenInPlace) {
+  // The owned client writes an existing page and a new one; both stay
+  // dirty there, their trailers not yet stamped.
+  cache_->GetPageForWrite(file_, 3).value()[100] = 0xAB;
+  auto [fresh, bytes] = cache_->NewPage(file_).value();
+  bytes[100] = 0xCD;
+  // Two other reads push page 3 out of the 2-page server cache (clean).
+  ASSERT_TRUE(cache_->GetPage(file_, 0).ok());
+  ASSERT_TRUE(cache_->GetPage(file_, 1).ok());
+  EXPECT_TRUE(disk_.TrailerStale(file_, 3));
+  EXPECT_TRUE(disk_.TrailerStale(file_, fresh));
+
+  // A second client misses at both levels and fills both pages from disk.
+  LruPageCache other(4);
+  cache_->BindClientCache(&other);
+  Result<const uint8_t*> page3 = cache_->GetPage(file_, 3);
+  ASSERT_TRUE(page3.ok()) << page3.status().ToString();
+  EXPECT_EQ((*page3)[100], 0xAB);
+  Result<const uint8_t*> page_new = cache_->GetPage(file_, fresh);
+  ASSERT_TRUE(page_new.ok()) << page_new.status().ToString();
+  EXPECT_EQ((*page_new)[100], 0xCD);
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 0u);
+  // The fills stamped the trailers.
+  EXPECT_FALSE(disk_.TrailerStale(file_, 3));
+  EXPECT_TRUE(VerifyPageChecksum(disk_.RawPage(file_, 3).value()));
+  cache_->BindClientCache(nullptr);
+}
+
+TEST_F(FaultyCacheTest, CorruptionAfterALazyStampIsStillDetected) {
+  cache_->GetPageForWrite(file_, 3).value()[100] = 0xAB;
+  ASSERT_TRUE(cache_->GetPage(file_, 0).ok());
+  ASSERT_TRUE(cache_->GetPage(file_, 1).ok());
+  LruPageCache other(4);
+  cache_->BindClientCache(&other);
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());  // the lazy stamp
+
+  // A flip behind the engine's back fails the next fill.
+  disk_.RawPage(file_, 3).value()[200] ^= 0x5A;
+  cache_->DropAll();
+  Result<const uint8_t*> got = cache_->GetPage(file_, 3);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption());
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 1u);
+  disk_.RawPage(file_, 3).value()[200] ^= 0x5A;  // repair
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+
+  // Injected write corruption lands after the disk write's stamp, so a
+  // later fill catches it too.
+  sim_.faults().Arm(7);
+  sim_.faults().Schedule(
+      {FaultSite::kPageWriteCorruption, /*at_op=*/0, 0.0, 1});
+  cache_->GetPageForWrite(file_, 3).value()[100] = 0x11;
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  EXPECT_EQ(sim_.faults().injected(FaultSite::kPageWriteCorruption), 1u);
+  EXPECT_FALSE(disk_.TrailerStale(file_, 3));
+  cache_->DropAll();
+  got = cache_->GetPage(file_, 3);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption());
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 2u);
+  cache_->BindClientCache(nullptr);
+}
+
 DerbyConfig SmallDerby() {
   DerbyConfig cfg;
   cfg.providers = 60;

@@ -61,8 +61,8 @@ TEST_F(LoaderTest, OutOfMemoryWithoutCommits) {
   Status last = Status::OK();
   int created = 0;
   for (int i = 0; i < 100 && last.ok(); ++i) {
-    last = loader.CreateObject(cls_, ObjectData{i}, Opts(), "Items")
-               .status();
+    const ObjectData data{i};
+    last = loader.CreateObject(cls_, data, Opts(), "Items").status();
     if (last.ok()) ++created;
   }
   EXPECT_TRUE(last.IsResourceExhausted());

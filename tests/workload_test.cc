@@ -187,6 +187,27 @@ TEST(WorkloadTest, WarmupQueriesAreExcludedFromMeasurement) {
   }
 }
 
+TEST(WorkloadTest, WarmSessionsStraightAfterBuildLoseNoStatement) {
+  // BuildDerby leaves pages dirty in the database's own client cache, their
+  // trailers not yet stamped. Warm sessions bind fresh client caches, miss
+  // at the server and fill those pages from disk: the in-place bytes are
+  // the newest image, so no statement may fail on them.
+  auto derby = BuildSmallDerby();
+  WorkloadSpec spec;
+  spec.num_clients = 4;
+  spec.queries_per_client = 40;
+  spec.zipf_theta = 0.6;
+  spec.tree_query_fraction = 0.2;
+  spec.selection_pct = 2;
+  spec.cold_start = false;
+  spec.seed = 42;
+  auto report = RunWorkload(derby.get(), spec);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->failed_queries, 0u);
+  EXPECT_EQ(report->total_queries, 4u * 40u);
+  EXPECT_EQ(report->totals.corruptions_detected, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry: observation must not perturb the simulation, and everything it
 // captures must be deterministic.

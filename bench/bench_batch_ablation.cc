@@ -50,7 +50,8 @@ struct BatchOut {
 };
 
 int Main(int argc, char** argv) {
-  const BenchOptions opts = ParseArgs(argc, argv);
+  const BenchOptions opts =
+      ParseArgs(argc, argv, /*default_scale=*/1, kSummaryJsonFlag);
 
   const std::vector<ClusteringStrategy> clusterings = {
       ClusteringStrategy::kClassClustered, ClusteringStrategy::kComposition,

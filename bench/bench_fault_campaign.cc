@@ -393,7 +393,8 @@ bool SloMerge(const SloOut& a, const SloOut& b, const SloOut& clean,
 }
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
+  BenchOptions opts =
+      ParseArgs(argc, argv, /*default_scale=*/1, kSummaryJsonFlag);
 
   struct Intensity {
     std::string slug;

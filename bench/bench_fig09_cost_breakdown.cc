@@ -84,7 +84,8 @@ std::unique_ptr<TraceNode> RunTraced(Database* db, const SelectionSpec& spec,
 }
 
 int Main(int argc, char** argv) {
-  BenchOptions opts = ParseArgs(argc, argv);
+  BenchOptions opts =
+      ParseArgs(argc, argv, /*default_scale=*/1, kTraceJsonFlag);
   auto derby = BuildDerbyOrDie(2000, 1000,
                                ClusteringStrategy::kClassClustered, opts);
 

@@ -138,7 +138,8 @@ PhaseResult RunPhase(DerbyDb* derby, const WorkloadSpec& spec,
 }
 
 int Main(int argc, char** argv) {
-  const BenchOptions opts = ParseArgs(argc, argv);
+  const BenchOptions opts =
+      ParseArgs(argc, argv, /*default_scale=*/1, kSummaryJsonFlag);
   const uint32_t queries = opts.queries > 0 ? opts.queries : 6;
 
   BenchCells cells(opts.jobs);

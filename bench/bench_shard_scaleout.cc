@@ -151,7 +151,8 @@ void RecordRun(StatStore* stats, telemetry::FlatRun* summary,
 }
 
 int Main(int argc, char** argv) {
-  const BenchOptions opts = ParseArgs(argc, argv);
+  const BenchOptions opts =
+      ParseArgs(argc, argv, /*default_scale=*/1, kSummaryJsonFlag | kJsonFlag);
   const uint32_t queries = opts.queries > 0 ? opts.queries
                            : opts.smoke     ? 3
                                             : 6;

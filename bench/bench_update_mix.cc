@@ -113,7 +113,8 @@ struct MixOut {
 };
 
 int Main(int argc, char** argv) {
-  const BenchOptions opts = ParseArgs(argc, argv);
+  const BenchOptions opts =
+      ParseArgs(argc, argv, /*default_scale=*/1, kSummaryJsonFlag);
   const uint32_t queries = opts.queries > 0 ? opts.queries
                            : opts.smoke     ? 3
                                             : 8;

@@ -135,7 +135,9 @@ struct SweepOut {
 };
 
 int Main(int argc, char** argv) {
-  const BenchOptions opts = ParseArgs(argc, argv);
+  const BenchOptions opts = ParseArgs(
+      argc, argv, /*default_scale=*/1,
+      kSummaryJsonFlag | kJsonFlag | kTelemetryDirFlag | kQueryLogDirFlag);
   const uint32_t queries = opts.queries > 0 ? opts.queries
                            : opts.smoke     ? 3
                                             : 8;

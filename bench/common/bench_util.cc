@@ -117,24 +117,29 @@ constexpr NumberFlag kNumberFlags[] = {
 struct PathFlag {
   std::string_view name;
   std::string BenchOptions::*field;
+  uint32_t artifact;  // ArtifactFlag bit; 0 = accepted by every bench
 };
 constexpr PathFlag kPathFlags[] = {
-    {"--stats-json=", &BenchOptions::stats_json_path},
-    {"--perf-json=", &BenchOptions::perf_json_path},
-    {"--trace-json=", &BenchOptions::trace_json_path},
-    {"--summary-json=", &BenchOptions::summary_json_path},
-    {"--json=", &BenchOptions::json_path},
-    {"--telemetry-dir=", &BenchOptions::telemetry_dir},
-    {"--query-log-dir=", &BenchOptions::query_log_dir},
+    {"--stats-json=", &BenchOptions::stats_json_path, 0},
+    {"--perf-json=", &BenchOptions::perf_json_path, 0},
+    {"--trace-json=", &BenchOptions::trace_json_path, kTraceJsonFlag},
+    {"--summary-json=", &BenchOptions::summary_json_path, kSummaryJsonFlag},
+    {"--json=", &BenchOptions::json_path, kJsonFlag},
+    {"--telemetry-dir=", &BenchOptions::telemetry_dir, kTelemetryDirFlag},
+    {"--query-log-dir=", &BenchOptions::query_log_dir, kQueryLogDirFlag},
 };
 
-std::string Usage() {
+bool Accepts(const PathFlag& f, uint32_t writes) {
+  return (f.artifact & writes) == f.artifact;
+}
+
+std::string Usage(uint32_t writes) {
   std::string usage;
   for (const NumberFlag& f : kNumberFlags) {
     usage += " [" + std::string(f.name) + "N]";
   }
   for (const PathFlag& f : kPathFlags) {
-    usage += " [" + std::string(f.name) + "PATH]";
+    if (Accepts(f, writes)) usage += " [" + std::string(f.name) + "PATH]";
   }
   return usage + " [--verbose]";
 }
@@ -142,7 +147,7 @@ std::string Usage() {
 }  // namespace
 
 Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
-                                  uint32_t default_scale) {
+                                  uint32_t default_scale, uint32_t writes) {
   BenchOptions opts;
   opts.scale = default_scale;
   // The environment default goes through --jobs's parser and bound; an
@@ -168,6 +173,11 @@ Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
     for (const PathFlag& f : kPathFlags) {
       if (!arg.starts_with(f.name)) continue;
       known = true;
+      if (!Accepts(f, writes)) {
+        return Status::InvalidArgument(
+            std::string(f.name.substr(0, f.name.size() - 1)) +
+            " names an artifact this bench does not write");
+      }
       opts.*f.field = arg.substr(f.name.size());
       if ((opts.*f.field).empty()) {
         return Status::InvalidArgument("empty value in " + std::string(arg));
@@ -182,12 +192,14 @@ Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
   return opts;
 }
 
-BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale) {
-  Result<BenchOptions> parsed = TryParseArgs(argc, argv, default_scale);
+BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale,
+                       uint32_t writes) {
+  Result<BenchOptions> parsed =
+      TryParseArgs(argc, argv, default_scale, writes);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s: %s; usage: %s%s\n", argv[0],
                  parsed.status().message().c_str(), argv[0],
-                 Usage().c_str());
+                 Usage(writes).c_str());
     std::exit(2);
   }
   BenchOptions opts = std::move(parsed).value();

@@ -37,9 +37,20 @@ struct BenchOptions {
   bool verbose = false;
 };
 
-/// The bench front end. Every bench accepts every flag below; --scale and
-/// --perf-json act in all of them, and each bench's header names the other
-/// flags it reads (the rest are ignored there).
+/// The artifact flags beyond --stats-json and --perf-json, which every bench
+/// accepts. A bench passes ParseArgs the ones it writes (OR them together).
+enum ArtifactFlag : uint32_t {
+  kTraceJsonFlag = 1u << 0,
+  kSummaryJsonFlag = 1u << 1,
+  kJsonFlag = 1u << 2,
+  kTelemetryDirFlag = 1u << 3,
+  kQueryLogDirFlag = 1u << 4,
+};
+
+/// The bench front end. Every bench accepts every flag below except the
+/// artifact flags it does not write (`writes`); --scale and --perf-json act
+/// in all of them, and each bench's header names the other flags it reads
+/// (the rest are ignored there).
 ///
 ///   --scale=N            N >= 1 divides paper scale by N; 0 = smoke
 ///                        (smoke = true, scale = 64); absent = the bench's
@@ -61,17 +72,20 @@ struct BenchOptions {
 ///   --query-log-dir=DIR  per-run query flight-recorder logs
 ///   --verbose            extra diagnostic output
 ///
-/// An unknown flag, an empty value, or a malformed or out-of-range number
-/// (in a flag or in TREEBENCH_JOBS) exits 2 with a one-line usage message
-/// before any work starts.
+/// An unknown flag, an artifact flag the bench does not write, an empty
+/// value, or a malformed or out-of-range number (in a flag or in
+/// TREEBENCH_JOBS) exits 2 with a one-line usage message before any work
+/// starts.
 /// --perf-json also starts the wall-clock timer and registers the exit-time
 /// writer; if that write fails the process exits 1.
-BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale = 1);
+BenchOptions ParseArgs(int argc, char** argv, uint32_t default_scale = 1,
+                       uint32_t writes = 0);
 
 /// The parser behind ParseArgs, without its side effects: returns
 /// InvalidArgument instead of exiting, and registers no perf writer.
 Result<BenchOptions> TryParseArgs(int argc, const char* const* argv,
-                                  uint32_t default_scale = 1);
+                                  uint32_t default_scale = 1,
+                                  uint32_t writes = 0);
 
 /// Writes one requested artifact: an empty `path` means not requested and
 /// returns true. On success prints "wrote <what> to <path>"; on failure

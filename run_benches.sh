@@ -12,11 +12,13 @@
 #   (relative paths land inside bench_json/); every remaining argument is
 #   passed to each bench (e.g. --scale=8, --jobs=8).
 #
-# Every bench accepts every bench flag (bench/common/bench_util.h) and exits
-# 2 on an unknown or malformed one. --jobs=N runs the cell-converted sweeps
-# (workload_scaleout, shard_scaleout, update_mix, batch_ablation,
-# reclustering, fault_campaign) on an N-worker pool; they still produce
-# byte-identical text/JSON artifacts at any N (docs/parallel_harness.md).
+# Every bench accepts every bench flag (bench/common/bench_util.h) except the
+# artifact flags it does not write, and exits 2 on an unknown, unwritten or
+# malformed one; --stats-json and --perf-json are accepted everywhere.
+# --jobs=N runs the cell-converted sweeps (workload_scaleout,
+# shard_scaleout, update_mix, batch_ablation, reclustering, fault_campaign)
+# on an N-worker pool; they still produce byte-identical text/JSON
+# artifacts at any N (docs/parallel_harness.md).
 # Only the *_perf.json host-perf records (and their perf_summary.json
 # rollup) legitimately vary with N.
 #

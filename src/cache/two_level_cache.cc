@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 namespace treebench {
 
@@ -63,14 +64,16 @@ Status TwoLevelCache::Reconfigure(const PlacementOptions& opts) {
 
 Result<const uint8_t*> TwoLevelCache::GetPage(uint16_t file_id,
                                               uint32_t page_id) {
-  TB_ASSIGN_OR_RETURN(uint8_t* data,
-                      Ensure(file_id, page_id, /*for_write=*/false));
-  return static_cast<const uint8_t*>(data);
+  TB_RETURN_IF_ERROR(Ensure(file_id, page_id, /*for_write=*/false));
+  // The const overload: a read hands out no writable bytes, so the page's
+  // verification memo survives it.
+  return std::as_const(*disk_).RawPage(file_id, page_id);
 }
 
 Result<uint8_t*> TwoLevelCache::GetPageForWrite(uint16_t file_id,
                                                 uint32_t page_id) {
-  return Ensure(file_id, page_id, /*for_write=*/true);
+  TB_RETURN_IF_ERROR(Ensure(file_id, page_id, /*for_write=*/true));
+  return disk_->RawPage(file_id, page_id);
 }
 
 void TwoLevelCache::PollCrash(uint32_t shard) {
@@ -132,8 +135,8 @@ uint32_t TwoLevelCache::RouteRead(uint64_t key) {
   return backup;
 }
 
-Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
-                                       bool for_write) {
+Status TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
+                             bool for_write) {
   uint64_t key = Key(file_id, page_id);
   // The lock precedes the access: a transaction blocked (or killed as a
   // deadlock victim) on the page lock never touches the cache levels.
@@ -176,7 +179,7 @@ Result<uint8_t*> TwoLevelCache::Ensure(uint16_t file_id, uint32_t page_id,
     client_->MarkDirty(key);
     disk_->NoteWrite(file_id, page_id);
   }
-  return disk_->RawPage(file_id, page_id);
+  return Status::OK();
 }
 
 Status TwoLevelCache::RpcToServer(uint64_t bytes, uint32_t shard) {
@@ -232,9 +235,8 @@ Status TwoLevelCache::EnsureAtServer(uint64_t key, uint32_t shard) {
   sim_->ChargeDiskRead();
   uint16_t file_id = static_cast<uint16_t>(key >> 32);
   uint32_t page_id = static_cast<uint32_t>(key);
-  TB_ASSIGN_OR_RETURN(const uint8_t* raw,
-                      disk_->PageForFill(file_id, page_id));
-  if (!VerifyPageChecksum(raw)) {
+  TB_ASSIGN_OR_RETURN(bool coherent, disk_->VerifyForFill(file_id, page_id));
+  if (!coherent) {
     ++m.corruptions_detected;
     return Status::Corruption("page checksum mismatch on cache fill (file " +
                               std::to_string(file_id) + " page " +

@@ -82,8 +82,9 @@ struct CacheConfig {
 /// This is also the engine's fault boundary (see docs/fault_model.md):
 ///  - every client->server RPC runs under the RetryPolicy and can fail
 ///    transiently (FaultSite::kRpc);
-///  - every server-level disk read verifies the page checksum and can fail
-///    (FaultSite::kDiskRead) or detect corruption (kCorruption);
+///  - every server-level disk read checks the page checksum
+///    (DiskManager::VerifyForFill, which memoizes the check per page) and
+///    can fail (FaultSite::kDiskRead) or detect corruption (kCorruption);
 ///  - every server-level disk write can fail (FaultSite::kDiskWrite) or
 ///    corrupt the page (kPageWriteCorruption);
 ///  - every routed access polls FaultSite::kServerCrash for its shard;
@@ -269,9 +270,9 @@ class TwoLevelCache {
     prefetched_.clear();
   }
 
-  /// Ensures residency at the client level, charging faults; returns page
-  /// bytes.
-  Result<uint8_t*> Ensure(uint16_t file_id, uint32_t page_id, bool for_write);
+  /// Ensures residency at the client level, charging faults; a write is
+  /// marked dirty and noted at the disk.
+  Status Ensure(uint16_t file_id, uint32_t page_id, bool for_write);
 
   /// True while `shard` is inside its crash window at the bound clock's
   /// current time.

@@ -87,6 +87,7 @@ class Status {
   bool IsOutOfRange() const { return code_ == StatusCode::kOutOfRange; }
   bool IsCorruption() const { return code_ == StatusCode::kCorruption; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
+  bool IsAborted() const { return code_ == StatusCode::kAborted; }
 
   /// "Ok" or "NotFound: no such file".
   std::string ToString() const;

@@ -43,7 +43,7 @@ uint32_t DiskManager::AllocatePage(uint16_t file_id) {
   Page(buf.get()).Init();
   StampPageChecksum(buf.get());
   pages.push_back(std::move(buf));
-  files_[file_id].stale.push_back(0);
+  files_[file_id].trailer.push_back(Trailer::kVerified);
   return static_cast<uint32_t>(pages.size() - 1);
 }
 
@@ -52,24 +52,26 @@ uint32_t DiskManager::NumPages(uint16_t file_id) const {
   return static_cast<uint32_t>(files_[file_id].pages.size());
 }
 
-Result<uint8_t*> DiskManager::RawPage(uint16_t file_id, uint32_t page_id) {
+Status DiskManager::CheckPage(uint16_t file_id, uint32_t page_id) const {
   if (file_id >= files_.size()) {
     return Status::OutOfRange("no such file id");
   }
   if (page_id >= files_[file_id].pages.size()) {
     return Status::OutOfRange("page id past end of file");
   }
+  return Status::OK();
+}
+
+Result<uint8_t*> DiskManager::RawPage(uint16_t file_id, uint32_t page_id) {
+  TB_RETURN_IF_ERROR(CheckPage(file_id, page_id));
+  Trailer& trailer = files_[file_id].trailer[page_id];
+  if (trailer == Trailer::kVerified) trailer = Trailer::kUnverified;
   return files_[file_id].pages[page_id].get();
 }
 
 Result<const uint8_t*> DiskManager::RawPage(uint16_t file_id,
                                             uint32_t page_id) const {
-  if (file_id >= files_.size()) {
-    return Status::OutOfRange("no such file id");
-  }
-  if (page_id >= files_[file_id].pages.size()) {
-    return Status::OutOfRange("page id past end of file");
-  }
+  TB_RETURN_IF_ERROR(CheckPage(file_id, page_id));
   return files_[file_id].pages[page_id].get();
 }
 
@@ -85,7 +87,7 @@ void DiskManager::NoteWrite(uint16_t file_id, uint32_t page_id) {
   if (file_id >= files_.size() || page_id >= files_[file_id].pages.size()) {
     return;
   }
-  files_[file_id].stale[page_id] = 1;
+  files_[file_id].trailer[page_id] = Trailer::kStale;
   if (!WouldJournal(file_id, page_id)) return;
   auto img = std::make_unique<uint8_t[]>(kPageSize);
   std::memcpy(img.get(), files_[file_id].pages[page_id].get(), kPageSize);
@@ -93,23 +95,34 @@ void DiskManager::NoteWrite(uint16_t file_id, uint32_t page_id) {
 }
 
 Result<uint8_t*> DiskManager::StampPage(uint16_t file_id, uint32_t page_id) {
-  TB_ASSIGN_OR_RETURN(uint8_t* raw, RawPage(file_id, page_id));
+  TB_RETURN_IF_ERROR(CheckPage(file_id, page_id));
+  uint8_t* raw = files_[file_id].pages[page_id].get();
   StampPageChecksum(raw);
-  files_[file_id].stale[page_id] = 0;
+  files_[file_id].trailer[page_id] = Trailer::kUnverified;
   return raw;
 }
 
-Result<const uint8_t*> DiskManager::PageForFill(uint16_t file_id,
-                                                uint32_t page_id) {
-  TB_ASSIGN_OR_RETURN(uint8_t* raw, TrailerStale(file_id, page_id)
-                                         ? StampPage(file_id, page_id)
-                                         : RawPage(file_id, page_id));
-  return static_cast<const uint8_t*>(raw);
+Result<bool> DiskManager::VerifyForFill(uint16_t file_id, uint32_t page_id) {
+  TB_RETURN_IF_ERROR(CheckPage(file_id, page_id));
+  uint8_t* raw = files_[file_id].pages[page_id].get();
+  Trailer& trailer = files_[file_id].trailer[page_id];
+  if (trailer == Trailer::kStale) {
+    StampPageChecksum(raw);
+  } else if (trailer == Trailer::kUnverified && !VerifyPageChecksum(raw)) {
+    return false;
+  }
+  trailer = Trailer::kVerified;
+  return true;
 }
 
 bool DiskManager::TrailerStale(uint16_t file_id, uint32_t page_id) const {
-  return file_id < files_.size() && page_id < files_[file_id].stale.size() &&
-         files_[file_id].stale[page_id] != 0;
+  return CheckPage(file_id, page_id).ok() &&
+         files_[file_id].trailer[page_id] == Trailer::kStale;
+}
+
+bool DiskManager::TrailerVerified(uint16_t file_id, uint32_t page_id) const {
+  return CheckPage(file_id, page_id).ok() &&
+         files_[file_id].trailer[page_id] == Trailer::kVerified;
 }
 
 void DiskManager::BeginUndoEpoch() {
@@ -145,7 +158,7 @@ std::vector<uint64_t> DiskManager::RollbackUndoEpoch() {
     uint8_t* page = files_[file_id].pages[page_id].get();
     std::memcpy(page, img.get(), kPageSize);
     StampPageChecksum(page);
-    files_[file_id].stale[page_id] = 0;
+    files_[file_id].trailer[page_id] = Trailer::kVerified;
     affected.push_back(key);
   }
   for (size_t i = 0; i < files_.size(); ++i) {
@@ -157,7 +170,7 @@ std::vector<uint64_t> DiskManager::RollbackUndoEpoch() {
     }
     if (files_[i].pages.size() > base) {
       files_[i].pages.resize(base);
-      files_[i].stale.resize(base);
+      files_[i].trailer.resize(base);
     }
   }
   // Files born inside the epoch disappear entirely — an aborted insert must

@@ -24,13 +24,23 @@ namespace treebench {
 ///
 /// The store keeps a single copy of every page: cache levels hold keys, and
 /// writers mutate these bytes in place. The DiskManager alone decides when a
-/// page's checksum trailer is brought up to date. The cache reports every
-/// write access (NoteWrite), which marks the trailer stale; a disk write
-/// stamps it (StampPage); a cache fill stamps a stale trailer before
-/// verifying (PageForFill), because the in-place bytes are the newest image
-/// and a stale trailer is no evidence of corruption. A page whose trailer
-/// is not marked stale is coherent, so any change made behind the cache's
-/// back (injected corruption) fails verification at its next fill.
+/// page's checksum trailer is brought up to date and when it must be checked
+/// again. It keeps one trailer state per page:
+///  - stale: a write was noted (NoteWrite). The in-place bytes are the
+///    newest image, so a stale trailer is no evidence of corruption; the
+///    next cache fill stamps it (VerifyForFill).
+///  - unverified: the trailer was stamped, but a writable pointer to the
+///    bytes has been handed out since the last check, so the next fill
+///    hashes the page and fails on a mismatch.
+///  - verified: the trailer matched the bytes, and no writable pointer was
+///    handed out since, so the next fill skips the hash.
+/// Whatever hands out writable bytes ends the memo: NoteWrite marks the
+/// page stale, the mutable RawPage (the path test flips take) and StampPage
+/// (the disk write, after which kPageWriteCorruption may flip a byte) leave
+/// it unverified. A fill that stamps or verifies, a fresh AllocatePage and
+/// a rollback's restore, none of which hands out a pointer, leave it
+/// verified. So any change made behind the cache's back (injected
+/// corruption) fails its next fill, and an unchanged page is hashed once.
 ///
 /// For crash recovery the DiskManager keeps an optional undo journal: while
 /// an epoch is open, the first noted write to each page captures that
@@ -59,7 +69,9 @@ class DiskManager {
   uint32_t NumPages(uint16_t file_id) const;
 
   /// Direct access to page bytes — bypasses all cost accounting. Returns
-  /// OutOfRange for an unknown file or page.
+  /// OutOfRange for an unknown file or page. The mutable overload hands out
+  /// writable bytes, so it drops a verified page to unverified; reads take
+  /// the const one.
   Result<uint8_t*> RawPage(uint16_t file_id, uint32_t page_id);
   Result<const uint8_t*> RawPage(uint16_t file_id, uint32_t page_id) const;
 
@@ -73,18 +85,23 @@ class DiskManager {
   /// an unknown file or page.
   void NoteWrite(uint16_t file_id, uint32_t page_id);
 
-  /// A disk write: stamps the trailer and clears the stale mark; returns
-  /// the page bytes.
+  /// A disk write: stamps the trailer and returns the page bytes, leaving
+  /// the page unverified (the caller holds a writable pointer).
   Result<uint8_t*> StampPage(uint16_t file_id, uint32_t page_id);
 
-  /// The page as a cache fill reads it: a trailer marked stale is stamped
-  /// first, so the caller's VerifyPageChecksum fails only on a change that
-  /// no noted write covers.
-  Result<const uint8_t*> PageForFill(uint16_t file_id, uint32_t page_id);
+  /// A cache fill: true if the stored image is coherent with its trailer.
+  /// A stale trailer is stamped; an unverified one is hashed; a verified
+  /// one is trusted. A page that passes is verified; one that fails stays
+  /// unverified.
+  Result<bool> VerifyForFill(uint16_t file_id, uint32_t page_id);
 
   /// True while the page's trailer awaits a stamp (noted write since the
   /// last stamp). False for an unknown file or page.
   bool TrailerStale(uint16_t file_id, uint32_t page_id) const;
+
+  /// True while the next fill of the page may skip the hash (see the class
+  /// comment). False for an unknown file or page.
+  bool TrailerVerified(uint16_t file_id, uint32_t page_id) const;
 
   // ---- Undo journal ----
 
@@ -108,19 +125,24 @@ class DiskManager {
   void CommitUndoEpoch();
 
   /// Restores all journaled pre-images, each with a fresh trailer (the
-  /// restore is a disk write), and truncates every file to its page
-  /// count at epoch begin (files created after begin shrink to zero pages
-  /// but keep their ids). Closes the epoch. Returns every affected page key
+  /// restore is a disk write) and left verified, and truncates every file
+  /// to its page count at epoch begin (files created after begin shrink to
+  /// zero pages but keep their ids). Closes the epoch. Returns every affected page key
   /// ((file_id << 32) | page_id, sorted) — restored pre-images plus
   /// truncated pages — so the caller can discard stale cached copies.
   std::vector<uint64_t> RollbackUndoEpoch();
 
  private:
+  enum class Trailer : uint8_t { kStale, kUnverified, kVerified };
+
   struct FileInfo {
     std::string name;
     std::vector<std::unique_ptr<uint8_t[]>> pages;
-    std::vector<uint8_t> stale;  // per page: 1 while the trailer awaits a stamp
+    std::vector<Trailer> trailer;  // per page (see the class comment)
   };
+
+  /// OutOfRange unless the file and page exist.
+  Status CheckPage(uint16_t file_id, uint32_t page_id) const;
 
   std::vector<FileInfo> files_;
 

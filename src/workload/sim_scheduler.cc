@@ -347,25 +347,25 @@ Result<PreparedQuery> Prepare(Database* db, const WorkloadSpec& spec,
 /// Runs one prepared update statement as its own transaction on the bound
 /// session: Begin (client-attributed), the DML body under the lock hook,
 /// Commit — or Abort (rollback through the undo log) when the body fails.
-/// Returns whether the statement committed; Begin/Abort machinery failures
-/// are engine bugs and surface as hard errors through *hard_error.
-bool RunUpdateTxn(Database* db, TxnManager* txns, const PreparedQuery& prep,
-                  uint32_t client_id, Status* hard_error) {
+/// Returns the statement's outcome: OK if it committed, else the body's (or
+/// the failed machinery's) status. Begin/Commit/Abort machinery failures
+/// are engine bugs and also surface as hard errors through *hard_error.
+Status RunUpdateTxn(Database* db, TxnManager* txns, const PreparedQuery& prep,
+                    uint32_t client_id, Status* hard_error) {
   Result<Transaction*> txn = txns->Begin(client_id);
   if (!txn.ok()) {
     *hard_error = txn.status();
-    return false;
+    return txn.status();
   }
   Result<DmlStats> ran = RunDml(db, txns, prep.dml);
   if (ran.ok()) {
     Status commit = txns->Commit(*txn);
-    if (commit.ok()) return true;
-    *hard_error = commit;
-    return false;
+    if (!commit.ok()) *hard_error = commit;
+    return commit;
   }
   Status abort = txns->Abort(*txn);
   if (!abort.ok()) *hard_error = abort;
-  return false;
+  return ran.status();
 }
 
 Status RunEventLoop(Database* db, const WorkloadSpec& spec,
@@ -468,14 +468,21 @@ Status RunEventLoop(Database* db, const WorkloadSpec& spec,
     const double t0 = prep_ok ? s->clock.clock_ns : prep_start_ns;
     const Metrics m0 = prep_ok ? s->clock.metrics : prep_start_metrics;
     if (prep_ok) snapshot_admitted();
-    bool ok = false;
+    Status ran = Status::OK();
     if (prep_ok && prep.is_dml) {
       Status hard_error = Status::OK();
-      ok = RunUpdateTxn(db, txns, prep, id, &hard_error);
+      ran = RunUpdateTxn(db, txns, prep, id, &hard_error);
       if (!hard_error.ok()) return hard_error;
     } else if (prep_ok) {
-      ok = RunBoundPlan(db, prep.bound, prep.plan, /*cold=*/false).ok();
+      ran = RunBoundPlan(db, prep.bound, prep.plan, /*cold=*/false).status();
     }
+    if (!ran.ok() && !db->sim().faults().armed() && !ran.IsAborted() &&
+        !ran.IsUnavailable()) {
+      // Not a fault campaign, and not the lock manager's deadlock victim
+      // (kAborted) or would-block (kUnavailable): an engine bug.
+      return ran;
+    }
+    const bool ok = prep_ok && ran.ok();
     const double t1 = s->clock.clock_ns;
     const bool measured = s->queries_issued >= spec.warmup_queries_per_client;
 

@@ -17,7 +17,7 @@ namespace treebench {
 struct ClientReport {
   uint32_t client_id = 0;
   uint64_t queries = 0;          // completed measured queries
-  uint64_t failed_queries = 0;   // queries lost to injected faults
+  uint64_t failed_queries = 0;   // lost to injected faults or lock conflicts
   /// Virtual time of the client's measured phase: [first measured query
   /// start, last completion], seconds.
   double start_seconds = 0;

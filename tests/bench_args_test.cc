@@ -17,11 +17,17 @@
 namespace treebench::bench {
 namespace {
 
+constexpr uint32_t kEveryArtifact = kTraceJsonFlag | kSummaryJsonFlag |
+                                    kJsonFlag | kTelemetryDirFlag |
+                                    kQueryLogDirFlag;
+
+// Parses as a bench that writes `writes` (by default every artifact).
 Result<BenchOptions> Parse(std::vector<const char*> flags,
-                           uint32_t default_scale = 1) {
+                           uint32_t default_scale = 1,
+                           uint32_t writes = kEveryArtifact) {
   flags.insert(flags.begin(), "bench_test");
   return TryParseArgs(static_cast<int>(flags.size()), flags.data(),
-                      default_scale);
+                      default_scale, writes);
 }
 
 // Sets (or, with nullptr, unsets) TREEBENCH_JOBS for one scope and puts
@@ -159,6 +165,33 @@ TEST(BenchArgsTest, RejectsEmptyPaths) {
   }
 }
 
+TEST(BenchArgsTest, RejectsArtifactFlagsTheBenchDoesNotWrite) {
+  const struct {
+    const char* flag;
+    uint32_t artifact;
+  } kArtifacts[] = {{"--trace-json=t.json", kTraceJsonFlag},
+                    {"--summary-json=s.json", kSummaryJsonFlag},
+                    {"--json=r.json", kJsonFlag},
+                    {"--telemetry-dir=tel", kTelemetryDirFlag},
+                    {"--query-log-dir=ql", kQueryLogDirFlag}};
+  for (const auto& a : kArtifacts) {
+    // A bench that writes none of them, or every other one, rejects it...
+    for (uint32_t writes : {0u, kEveryArtifact & ~a.artifact}) {
+      auto opts = Parse({a.flag}, 1, writes);
+      EXPECT_FALSE(opts.ok()) << a.flag << " writes=" << writes;
+      EXPECT_EQ(opts.status().code(), StatusCode::kInvalidArgument)
+          << a.flag;
+    }
+    // ...and a bench that writes it accepts it.
+    EXPECT_TRUE(Parse({a.flag}, 1, a.artifact).ok()) << a.flag;
+  }
+  // --stats-json and --perf-json are accepted everywhere.
+  auto opts = Parse({"--stats-json=s.json", "--perf-json=p.json"}, 1, 0);
+  ASSERT_TRUE(opts.ok()) << opts.status().ToString();
+  EXPECT_EQ(opts->stats_json_path, "s.json");
+  EXPECT_EQ(opts->perf_json_path, "p.json");
+}
+
 TEST(BenchArgsTest, OneBadFlagAmongGoodOnesRejectsTheWholeLine) {
   EXPECT_FALSE(Parse({"--scale=8", "--jobs=4", "--clinets=2"}).ok());
 }
@@ -167,6 +200,15 @@ TEST(BenchArgsDeathTest, ParseArgsExitsTwoWithUsage) {
   const char* argv[] = {"bench_test", "--clinets=2", nullptr};
   EXPECT_EXIT(ParseArgs(2, const_cast<char**>(argv)),
               ::testing::ExitedWithCode(2), "unknown flag --clinets=2.*usage");
+  // A paper bench writes no summary: the flag fails before any work, and
+  // the usage line lists only the artifacts the bench writes.
+  const char* summary[] = {"bench_test", "--summary-json=s.json", nullptr};
+  EXPECT_EXIT(ParseArgs(2, const_cast<char**>(summary)),
+              ::testing::ExitedWithCode(2),
+              "--summary-json names an artifact this bench does not write; "
+              "usage: bench_test( \\[--[a-z]+=N\\])+ "
+              "\\[--stats-json=PATH\\] \\[--perf-json=PATH\\] "
+              "\\[--verbose\\]");
 }
 
 TEST(BenchArgsDeathTest, BadJobsEnvExitsTwoWithUsage) {

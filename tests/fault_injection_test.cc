@@ -235,6 +235,117 @@ TEST_F(FaultyCacheTest, CorruptionAfterALazyStampIsStillDetected) {
   cache_->BindClientCache(nullptr);
 }
 
+// ---------------------------------------------------------------------------
+// Verification memo: a fill that verifies (or stamps) a page lets the next
+// fill skip the hash, until something hands out writable bytes.
+// ---------------------------------------------------------------------------
+
+TEST_F(FaultyCacheTest, FillMemoizesVerificationUntilBytesAreHandedOut) {
+  ASSERT_TRUE(disk_.RawPage(file_, 3).ok());  // a writable pointer
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 3));
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());  // the fill hashes it
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+  // Reads, hit or fill, hand out no writable bytes.
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+  cache_->DropAll();
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+
+  // Each writable hand-out ends the memo.
+  disk_.NoteWrite(file_, 3);
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 3));
+  EXPECT_TRUE(disk_.TrailerStale(file_, 3));
+  cache_->DropAll();
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());  // the lazy stamp
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+  ASSERT_TRUE(disk_.RawPage(file_, 3).ok());
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 3));
+  EXPECT_FALSE(disk_.TrailerStale(file_, 3));
+  cache_->DropAll();
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+  ASSERT_TRUE(disk_.StampPage(file_, 3).ok());
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 3));
+  EXPECT_FALSE(disk_.TrailerStale(file_, 3));
+
+  // Through the cache: a write access notes the write, the flush's disk
+  // write stamps it unverified, the next fill verifies it again.
+  cache_->DropAll();
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  cache_->GetPageForWrite(file_, 3).value()[100] = 0xAB;
+  EXPECT_TRUE(disk_.TrailerStale(file_, 3));
+  ASSERT_TRUE(cache_->FlushAll().ok());
+  EXPECT_FALSE(disk_.TrailerStale(file_, 3));
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 3));
+  cache_->DropAll();
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 0u);
+
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 99));
+  EXPECT_FALSE(disk_.TrailerVerified(700, 0));
+}
+
+TEST_F(FaultyCacheTest, FlipOfAVerifiedPageFailsItsNextFill) {
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  ASSERT_TRUE(disk_.TrailerVerified(file_, 3));
+  cache_->DropAll();
+
+  disk_.RawPage(file_, 3).value()[100] ^= 0xFF;
+  Result<const uint8_t*> got = cache_->GetPage(file_, 3);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption());
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 1u);
+  // A failed check memoizes nothing: the page fails every fill.
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 3));
+  EXPECT_TRUE(cache_->GetPage(file_, 3).status().IsCorruption());
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 2u);
+
+  disk_.RawPage(file_, 3).value()[100] ^= 0xFF;  // repair
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+}
+
+TEST_F(FaultyCacheTest, WriteCorruptionOfAVerifiedPageIsDetected) {
+  ASSERT_TRUE(cache_->GetPage(file_, 5).ok());
+  ASSERT_TRUE(disk_.TrailerVerified(file_, 5));
+  sim_.faults().Arm(7);
+  sim_.faults().Schedule(
+      {FaultSite::kPageWriteCorruption, /*at_op=*/0, 0.0, 1});
+  cache_->GetPageForWrite(file_, 5).value()[0] = 1;
+  ASSERT_TRUE(cache_->FlushAll().ok());  // corrupts the page on its way down
+  EXPECT_EQ(sim_.faults().injected(FaultSite::kPageWriteCorruption), 1u);
+  EXPECT_FALSE(disk_.TrailerVerified(file_, 5));
+  cache_->DropAll();
+  Result<const uint8_t*> got = cache_->GetPage(file_, 5);
+  ASSERT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsCorruption());
+  EXPECT_EQ(sim_.metrics().corruptions_detected, 1u);
+}
+
+TEST_F(FaultyCacheTest, FreshAndRolledBackPagesAreVerified) {
+  // AllocatePage and a rollback's restore stamp the trailer themselves and
+  // hand out no writable bytes.
+  const uint32_t fresh = disk_.AllocatePage(file_);
+  EXPECT_TRUE(disk_.TrailerVerified(file_, fresh));
+
+  disk_.BeginUndoEpoch();
+  disk_.NoteWrite(file_, 3);  // captures the pre-image
+  disk_.RawPage(file_, 3).value()[100] ^= 0x5A;
+  disk_.RollbackUndoEpoch();
+  EXPECT_TRUE(disk_.TrailerVerified(file_, 3));
+  EXPECT_FALSE(disk_.TrailerStale(file_, 3));
+  const DiskManager& disk = disk_;
+  EXPECT_TRUE(VerifyPageChecksum(disk.RawPage(file_, 3).value()));
+  ASSERT_TRUE(cache_->GetPage(file_, 3).ok());
+
+  // The memo still ends at the next hand-out.
+  cache_->DropAll();
+  disk_.RawPage(file_, 3).value()[100] ^= 0x5A;
+  EXPECT_TRUE(cache_->GetPage(file_, 3).status().IsCorruption());
+}
+
 DerbyConfig SmallDerby() {
   DerbyConfig cfg;
   cfg.providers = 60;

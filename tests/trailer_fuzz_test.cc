@@ -5,7 +5,9 @@
 // After every step:
 //  - no fill reports kCorruption unless the page carries an injected flip;
 //  - every flip of a coherent page fails its next fill with kCorruption;
-//  - every page whose trailer DiskManager does not mark stale verifies.
+//    most flips hit pages whose verification DiskManager has memoized;
+//  - every page whose trailer DiskManager does not mark stale verifies;
+//  - no page that DiskManager marks verified carries a flip.
 // Every operation's result is checked and tallied per operation kind, so a
 // failure names the step and the mix that led to it. Runs under the
 // sanitizer CI lane (ctest -L fuzz).
@@ -16,6 +18,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/cache/lru_page_cache.h"
 #include "src/catalog/database.h"
@@ -36,6 +39,7 @@ struct Tally {
   std::array<uint64_t, kNumOps> ops{};
   uint64_t unavailable = 0;
   uint64_t flips = 0;
+  uint64_t verified_flips = 0;  // picked among memoized pages
   uint64_t flips_caught = 0;
 
   std::string Summary() const {
@@ -45,6 +49,7 @@ struct Tally {
     }
     return s + "unavailable=" + std::to_string(unavailable) +
            " flips=" + std::to_string(flips) +
+           " verified_flips=" + std::to_string(verified_flips) +
            " caught=" + std::to_string(flips_caught);
   }
 };
@@ -200,8 +205,18 @@ class TrailerFuzz {
 
   // Flips one payload byte of a coherent page behind the engine's back and
   // drops every cached copy of it, so its next access must fill from disk.
+  // Mostly picks a page whose verification is memoized: the flip must end
+  // the memo, or the fill would skip the hash and miss it.
   void Flip() {
     uint32_t page = RandomPage();
+    std::vector<uint32_t> verified;
+    for (uint32_t p = 0; p < db_.disk().NumPages(file_); ++p) {
+      if (db_.disk().TrailerVerified(file_, p)) verified.push_back(p);
+    }
+    if (!verified.empty() && rng_.OneIn(0.75)) {
+      page = verified[rng_.Uniform(verified.size())];
+      ++tally_.verified_flips;
+    }
     if (db_.disk().TrailerStale(file_, page) || flips_.count(page) != 0) {
       return;  // not coherent (or already flipped): nothing to detect
     }
@@ -256,6 +271,10 @@ class TrailerFuzz {
   void CheckCoherentPagesVerify() {
     const DiskManager& disk = db_.disk();
     for (uint32_t p = 0; p < disk.NumPages(file_); ++p) {
+      if (disk.TrailerVerified(file_, p)) {
+        EXPECT_EQ(flips_.count(p), 0u)
+            << "flipped page " << p << " marked verified at " << Where();
+      }
       if (disk.TrailerStale(file_, p) || flips_.count(p) != 0) continue;
       EXPECT_TRUE(VerifyPageChecksum(disk.RawPage(file_, p).value()))
           << "page " << p << " not marked stale but incoherent at "
@@ -290,6 +309,7 @@ TEST(TrailerFuzzTest, RandomSequencesKeepTrailersHonest) {
       EXPECT_GT(t.ops[op], 0u) << kOpNames[op];
     }
     EXPECT_GT(t.flips_caught, 0u) << t.Summary();
+    EXPECT_GT(t.verified_flips, 0u) << t.Summary();
     EXPECT_GT(fuzz.metrics().server_crashes, 0u) << t.Summary();
     if (::testing::Test::HasFailure()) break;
   }

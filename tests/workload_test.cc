@@ -208,6 +208,25 @@ TEST(WorkloadTest, WarmSessionsStraightAfterBuildLoseNoStatement) {
   EXPECT_EQ(report->totals.corruptions_detected, 0u);
 }
 
+TEST(WorkloadTest, UnexplainedStatementFailureIsAnError) {
+  // With no injector armed, a statement may fail only on a lock conflict.
+  // A corrupted page is an engine-level failure: RunWorkload must return
+  // it rather than book it as a lost statement in an OK report.
+  auto derby = BuildSmallDerby();
+  Database& db = *derby->db;
+  ASSERT_TRUE(db.ColdRestart().ok());
+  const uint16_t patients = db.disk().FindFile("patients").value();
+  // Page 0 stays intact: binding reads the extent's class from it, and a
+  // preparation failure is already an error.
+  for (uint32_t p = 1; p < db.disk().NumPages(patients); ++p) {
+    db.disk().RawPage(patients, p).value()[64] ^= 0x5A;
+  }
+  WorkloadSpec spec = MixedSpec(2, 3);
+  auto report = RunWorkload(derby.get(), spec);
+  ASSERT_FALSE(report.ok()) << "failed_queries=" << report->failed_queries;
+  EXPECT_TRUE(report.status().IsCorruption()) << report.status().ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry: observation must not perturb the simulation, and everything it
 // captures must be deterministic.

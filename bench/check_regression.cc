@@ -4,6 +4,10 @@
 //   check_regression <baseline.json> <current.json> [--tolerance=0.02]
 //                    [--wall-tolerance=0.25] [--json=DIFF.json]
 //
+// A tolerance must be a finite, non-negative decimal number; any other
+// value (e.g. --tolerance=abc) exits 2 with the usage line, like a missing
+// or unreadable file.
+//
 // Both files are flat {"key": number} objects (what bench_workload_scaleout
 // --summary-json= writes; baselines live under bench/baselines/). Counter
 // keys must match exactly — the engine's event counters are integer-exact on
@@ -15,23 +19,36 @@
 // --wall-tolerance (default 25%) fails, with a typed "wall_clock" finding —
 // speedups pass silently. Exits nonzero on any regression, missing key, or
 // new key (schema changes need a committed baseline update).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <string_view>
 
 #include "src/common/file_util.h"
 #include "src/telemetry/regression.h"
 
 namespace {
 
-bool ReadFile(const char* path, std::string* out) {
-  FILE* f = std::fopen(path, "rb");
-  if (f == nullptr) return false;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out->append(buf, n);
-  std::fclose(f);
+int Usage() {
+  std::fprintf(stderr,
+               "usage: check_regression <baseline.json> <current.json> "
+               "[--tolerance=0.02] [--wall-tolerance=0.25] "
+               "[--json=DIFF.json]\n");
+  return 2;
+}
+
+// Parses a tolerance flag value: the whole string must be one finite,
+// non-negative decimal number (no sign, no spaces, no suffix).
+bool ParseTolerance(std::string_view text, double* out) {
+  double v = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || text[0] == '-' || ec != std::errc() || ptr != end ||
+      !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
   return true;
 }
 
@@ -43,11 +60,22 @@ int main(int argc, char** argv) {
   const char* json_path = nullptr;
   treebench::telemetry::RegressionOptions opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tolerance=", 12) == 0) {
-      opts.time_tolerance = std::atof(argv[i] + 12);
-    } else if (std::strncmp(argv[i], "--wall-tolerance=", 17) == 0) {
-      opts.wall_tolerance = std::atof(argv[i] + 17);
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
+    const std::string_view arg = argv[i];
+    double* tolerance = nullptr;
+    std::string_view value;
+    if (arg.starts_with("--tolerance=")) {
+      tolerance = &opts.time_tolerance;
+      value = arg.substr(12);
+    } else if (arg.starts_with("--wall-tolerance=")) {
+      tolerance = &opts.wall_tolerance;
+      value = arg.substr(17);
+    }
+    if (tolerance != nullptr) {
+      if (!ParseTolerance(value, tolerance)) {
+        std::fprintf(stderr, "bad tolerance value: %s\n", argv[i]);
+        return Usage();
+      }
+    } else if (arg.starts_with("--json=")) {
       json_path = argv[i] + 7;
     } else if (baseline_path == nullptr) {
       baseline_path = argv[i];
@@ -58,31 +86,26 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (baseline_path == nullptr || current_path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: check_regression <baseline.json> <current.json> "
-                 "[--tolerance=0.02] [--wall-tolerance=0.25] "
-                 "[--json=DIFF.json]\n");
+  if (baseline_path == nullptr || current_path == nullptr) return Usage();
+
+  auto baseline_text = treebench::ReadFile(baseline_path);
+  if (!baseline_text.ok()) {
+    std::fprintf(stderr, "%s\n", baseline_text.status().ToString().c_str());
+    return 2;
+  }
+  auto current_text = treebench::ReadFile(current_path);
+  if (!current_text.ok()) {
+    std::fprintf(stderr, "%s\n", current_text.status().ToString().c_str());
     return 2;
   }
 
-  std::string baseline_text, current_text;
-  if (!ReadFile(baseline_path, &baseline_text)) {
-    std::fprintf(stderr, "cannot read %s\n", baseline_path);
-    return 2;
-  }
-  if (!ReadFile(current_path, &current_text)) {
-    std::fprintf(stderr, "cannot read %s\n", current_path);
-    return 2;
-  }
-
-  auto baseline = treebench::telemetry::ParseFlatJson(baseline_text);
+  auto baseline = treebench::telemetry::ParseFlatJson(*baseline_text);
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s: %s\n", baseline_path,
                  baseline.status().ToString().c_str());
     return 2;
   }
-  auto current = treebench::telemetry::ParseFlatJson(current_text);
+  auto current = treebench::telemetry::ParseFlatJson(*current_text);
   if (!current.ok()) {
     std::fprintf(stderr, "%s: %s\n", current_path,
                  current.status().ToString().c_str());

@@ -13,27 +13,36 @@ LruPageCache::Evicted LruPageCache::Insert(uint64_t key, bool dirty) {
     evicted.dirty = dirty;
     return evicted;
   }
-  if (map_.size() >= capacity_) {
-    uint64_t victim = lru_.back();
-    auto it = map_.find(victim);
+  uint32_t n;
+  if (index_.size() >= capacity_) {
+    // The victim's node is reused for the new page.
+    n = tail_;
     evicted.valid = true;
-    evicted.key = victim;
-    evicted.dirty = it->second.dirty;
-    lru_.pop_back();
-    map_.erase(it);
+    evicted.key = nodes_[n].key;
+    evicted.dirty = nodes_[n].dirty;
+    index_.Erase(nodes_[n].key);
+    Unlink(n);
+  } else if (free_ != kNil) {
+    n = free_;
+    free_ = nodes_[n].next;
+  } else {
+    n = static_cast<uint32_t>(nodes_.size());
+    nodes_.emplace_back();
   }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{lru_.begin(), dirty});
+  nodes_[n].key = key;
+  nodes_[n].dirty = dirty;
+  PushFront(n);
+  index_.Insert(key, n);
   return evicted;
 }
 
 bool LruPageCache::Erase(uint64_t key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  bool dirty = it->second.dirty;
-  lru_.erase(it->second.pos);
-  map_.erase(it);
-  return dirty;
+  uint32_t n = index_.Erase(key);
+  if (n == kNil) return false;
+  Unlink(n);
+  nodes_[n].next = free_;
+  free_ = n;
+  return nodes_[n].dirty;
 }
 
 }  // namespace treebench

@@ -1,14 +1,12 @@
 #ifndef TREEBENCH_OBJECTS_HANDLE_MAP_H_
 #define TREEBENCH_OBJECTS_HANDLE_MAP_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "src/common/logging.h"
+#include "src/common/flat_index.h"
 #include "src/storage/rid.h"
 
 namespace treebench {
@@ -25,105 +23,78 @@ struct ObjectHandle {
   uint32_t refcount = 0;
 };
 
-/// Resident handles keyed by packed canonical rid: a flat open-addressing
-/// table (linear probing over a power-of-two slot array, multiplicative
-/// hash, load factor at most 1/2). Erase shifts the rest of the probe run
-/// back instead of leaving tombstones, so lookups never scan dead slots.
-/// Handles are heap-owned, so an ObjectHandle* stays valid while its entry
-/// lives, across growth and across other entries' erasure. Iteration order
-/// is not exposed: nothing may depend on it.
+/// Resident handles keyed by packed canonical rid. Handles live in a
+/// chunked pool (fixed-size arrays that never move) with a free list, and
+/// a FlatIndex maps each key to its handle's pool id, so a materialization
+/// costs no heap allocation once the pool has warmed up. An ObjectHandle*
+/// stays valid while its entry lives, across growth and across other
+/// entries' erasure; an erased handle's storage is reused by a later
+/// Insert, so the pool holds at most as many handles as were ever resident
+/// at once since the last clear(). Iteration order is not exposed: nothing
+/// may depend on it.
 class HandleMap {
  public:
   /// The handle stored under `key`, or nullptr.
   ObjectHandle* Find(uint64_t key) const {
-    if (size_ == 0) return nullptr;
-    for (size_t i = Home(key);; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.handle == nullptr) return nullptr;
-      if (s.key == key) return s.handle.get();
-    }
+    uint32_t id = index_.Find(key);
+    return id == FlatIndex::kNone ? nullptr : At(id);
   }
 
-  /// Stores `handle` under `key`, which must not be present. Returns the
-  /// stored handle.
-  ObjectHandle* Insert(uint64_t key, std::unique_ptr<ObjectHandle> handle) {
-    TB_CHECK(handle != nullptr);
-    if ((size_ + 1) * 2 > slots_.size()) Grow();
-    size_t i = Home(key);
-    for (; slots_[i].handle != nullptr; i = (i + 1) & mask_) {
-      TB_CHECK(slots_[i].key != key);
-    }
-    slots_[i].key = key;
-    slots_[i].handle = std::move(handle);
-    ++size_;
-    return slots_[i].handle.get();
-  }
-
-  /// Destroys the handle stored under `key`. Returns false if absent.
-  bool Erase(uint64_t key) {
-    if (size_ == 0) return false;
-    size_t hole = Home(key);
-    for (;; hole = (hole + 1) & mask_) {
-      if (slots_[hole].handle == nullptr) return false;
-      if (slots_[hole].key == key) break;
-    }
-    slots_[hole].handle.reset();
-    // Backward shift: walk the rest of the run and move back every entry
-    // whose home does not lie cyclically in (hole, j], since the hole now
-    // breaks its probe path.
-    for (size_t j = (hole + 1) & mask_; slots_[j].handle != nullptr;
-         j = (j + 1) & mask_) {
-      size_t home = Home(slots_[j].key);
-      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-        slots_[hole] = std::move(slots_[j]);
-        hole = j;
+  /// Stores a copy of `handle` under `key`, which must not be present.
+  /// Returns the stored handle.
+  ObjectHandle* Insert(uint64_t key, const ObjectHandle& handle) {
+    uint32_t id;
+    if (!free_.empty()) {
+      id = free_.back();
+      free_.pop_back();
+    } else {
+      id = next_id_++;
+      if ((id >> kChunkShift) == chunks_.size()) {
+        chunks_.push_back(std::make_unique<ObjectHandle[]>(kChunkHandles));
       }
     }
-    --size_;
+    index_.Insert(key, id);
+    ObjectHandle* h = At(id);
+    *h = handle;
+    return h;
+  }
+
+  /// Releases the handle stored under `key` to the pool. Returns false if
+  /// absent.
+  bool Erase(uint64_t key) {
+    uint32_t id = index_.Erase(key);
+    if (id == FlatIndex::kNone) return false;
+    free_.push_back(id);
     return true;
   }
 
-  size_t size() const { return size_; }
+  size_t size() const { return index_.size(); }
 
-  /// Destroys every handle; keeps the slot array for refilling.
+  /// Handles the pool can hold without allocating another chunk.
+  size_t pool_capacity() const { return chunks_.size() * kChunkHandles; }
+
+  /// Releases every handle and frees the pool (a cold restart; what runs
+  /// next may need the memory more than the next refill). Keeps the
+  /// index's slot array for refilling.
   void clear() {
-    for (Slot& s : slots_) s.handle.reset();
-    size_ = 0;
+    index_.clear();
+    free_ = {};
+    chunks_.clear();
+    next_id_ = 0;
   }
 
  private:
-  struct Slot {
-    uint64_t key = 0;
-    std::unique_ptr<ObjectHandle> handle;  // null marks an empty slot
-  };
+  static constexpr int kChunkShift = 8;
+  static constexpr uint32_t kChunkHandles = 1u << kChunkShift;
 
-  static constexpr size_t kMinSlots = 16;
-
-  /// Fibonacci hashing: the top bits of key * 2^64/phi. Valid only once
-  /// Grow() has sized the slot array, which is why Find and Erase return
-  /// early on an empty map.
-  size_t Home(uint64_t key) const {
-    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  ObjectHandle* At(uint32_t id) const {
+    return &chunks_[id >> kChunkShift][id & (kChunkHandles - 1)];
   }
 
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    size_t n = old.empty() ? kMinSlots : old.size() * 2;
-    slots_ = std::vector<Slot>(n);
-    mask_ = n - 1;
-    shift_ = 64 - std::countr_zero(n);
-    for (Slot& s : old) {
-      if (s.handle == nullptr) continue;
-      size_t i = Home(s.key);
-      while (slots_[i].handle != nullptr) i = (i + 1) & mask_;
-      slots_[i] = std::move(s);
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t size_ = 0;
-  size_t mask_ = 0;
-  int shift_ = 64;
+  FlatIndex index_;
+  std::vector<std::unique_ptr<ObjectHandle[]>> chunks_;
+  std::vector<uint32_t> free_;  // released ids, reused last-in first-out
+  uint32_t next_id_ = 0;        // ids below this were handed out
 };
 
 }  // namespace treebench

@@ -20,26 +20,18 @@ ObjectStore::ObjectStore(Schema* schema, TwoLevelCache* cache,
                               ? handle_arena_bytes
                               : sim->model().ram_bytes / 16) {}
 
-RecordFile* ObjectStore::File(uint16_t file_id) {
-  auto it = files_.find(file_id);
-  if (it == files_.end()) {
-    it = files_
-             .emplace(file_id, std::make_unique<RecordFile>(
-                                   cache_, file_id, fill_factor_))
-             .first;
-  }
-  return it->second.get();
+RecordFile* ObjectStore::OpenFile(uint16_t file_id) {
+  if (file_id >= files_.size()) files_.resize(file_id + 1);
+  files_[file_id] =
+      std::make_unique<RecordFile>(cache_, file_id, fill_factor_);
+  return files_[file_id].get();
 }
 
 void ObjectStore::ResetFileCursors() {
   const uint16_t live = cache_->disk()->file_count();
-  for (auto it = files_.begin(); it != files_.end();) {
-    if (it->first >= live) {
-      it = files_.erase(it);
-    } else {
-      it->second->ResetTailCursor();
-      ++it;
-    }
+  if (files_.size() > live) files_.resize(live);
+  for (const auto& file : files_) {
+    if (file != nullptr) file->ResetTailCursor();
   }
   if (default_overflow_file_ != 0xFFFF && default_overflow_file_ >= live) {
     default_overflow_file_ = 0xFFFF;  // recreated lazily on next demand
@@ -142,8 +134,10 @@ Result<Rid> ObjectStore::ResolveForward(const Rid& rid) {
 
 Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
   uint64_t key = rid.Packed();
-  auto alias_it = ht_->alias.find(key);
-  if (alias_it != ht_->alias.end()) key = alias_it->second;
+  if (!ht_->alias.empty()) {
+    auto alias_it = ht_->alias.find(key);
+    if (alias_it != ht_->alias.end()) key = alias_it->second;
+  }
 
   if (ObjectHandle* h = ht_->handles.Find(key)) {
     // Already resident: cheap re-reference (no page access needed — the
@@ -172,11 +166,10 @@ Result<ObjectHandle*> ObjectStore::Get(const Rid& rid) {
 
   sim_->ChargeHandleGet();
   sim_->AddHandleMemory(static_cast<int64_t>(sim_->HandleBytes()));
-  auto handle = std::make_unique<ObjectHandle>();
-  handle->rid = canonical;
-  handle->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
-  handle->refcount = 1;
-  ObjectHandle* ptr = ht_->handles.Insert(canon_key, std::move(handle));
+  ObjectHandle* ptr = ht_->handles.Insert(
+      canon_key,
+      ObjectHandle{canonical,
+                   ObjectView(rec, nullptr, string_mode_).class_id(), 1});
   MaybeCollectZombies();
   return ptr;
 }
@@ -189,8 +182,10 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
   Status err = Status::OK();
   for (const Rid& rid : rids) {
     uint64_t key = rid.Packed();
-    auto alias_it = ht_->alias.find(key);
-    if (alias_it != ht_->alias.end()) key = alias_it->second;
+    if (!ht_->alias.empty()) {
+      auto alias_it = ht_->alias.find(key);
+      if (alias_it != ht_->alias.end()) key = alias_it->second;
+    }
 
     if (ObjectHandle* h = ht_->handles.Find(key)) {
       sim_->ChargeHandleLookup();
@@ -219,11 +214,10 @@ Result<std::vector<ObjectHandle*>> ObjectStore::GetBatch(
       }
     }
 
-    auto handle = std::make_unique<ObjectHandle>();
-    handle->rid = canonical;
-    handle->class_id = ObjectView(rec, nullptr, string_mode_).class_id();
-    handle->refcount = 1;
-    out.push_back(ht_->handles.Insert(canon_key, std::move(handle)));
+    out.push_back(ht_->handles.Insert(
+        canon_key,
+        ObjectHandle{canonical,
+                     ObjectView(rec, nullptr, string_mode_).class_id(), 1}));
     ++materialized;
   }
 

@@ -86,7 +86,12 @@ class ObjectStore {
   StringStorage string_mode() const { return string_mode_; }
 
   /// Record-file wrapper for a disk file (created lazily, shared cursor).
-  RecordFile* File(uint16_t file_id);
+  RecordFile* File(uint16_t file_id) {
+    if (file_id < files_.size() && files_[file_id] != nullptr) {
+      return files_[file_id].get();
+    }
+    return OpenFile(file_id);
+  }
 
   /// The store's default overflow file for large set values.
   uint16_t DefaultOverflowFile();
@@ -207,6 +212,9 @@ class ObjectStore {
                                                    RecordFile* home,
                                                    uint16_t overflow_file);
 
+  /// File()'s slow path: creates the wrapper on first use.
+  RecordFile* OpenFile(uint16_t file_id);
+
   void MaybeCollectZombies();
 
   Schema* schema_;
@@ -217,7 +225,7 @@ class ObjectStore {
   double fill_factor_;
   uint64_t handle_arena_bytes_;
 
-  std::unordered_map<uint16_t, std::unique_ptr<RecordFile>> files_;
+  std::vector<std::unique_ptr<RecordFile>> files_;  // by file id
   uint16_t default_overflow_file_ = 0xFFFF;
 
   // Active handle space (default: own_handles_). See HandleTable.

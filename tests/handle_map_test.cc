@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -33,9 +32,9 @@ std::vector<uint64_t> KeysWithHome(size_t home, size_t n, uint64_t from = 1) {
   return keys;
 }
 
-std::unique_ptr<ObjectHandle> MakeHandle(uint64_t key) {
-  auto h = std::make_unique<ObjectHandle>();
-  h->rid = Rid::FromPacked(key);
+ObjectHandle MakeHandle(uint64_t key) {
+  ObjectHandle h;
+  h.rid = Rid::FromPacked(key);
   return h;
 }
 
@@ -243,6 +242,80 @@ TEST(HandleMapTest, ClearDropsEverythingAndTheMapRefills) {
     present[k] = map.Insert(k, MakeHandle(k));
   }
   ExpectContents(map, present, {1, 2, 3, 49, 301});
+}
+
+TEST(HandleMapTest, ErasedHandleStorageIsReusedByTheNextInsert) {
+  HandleMap map;
+  std::unordered_map<uint64_t, ObjectHandle*> present;
+  for (uint64_t k = 1; k <= 40; ++k) {
+    ObjectHandle* h = map.Insert(k, MakeHandle(k));
+    h->refcount = static_cast<uint32_t>(k);
+    present[k] = h;
+  }
+  const size_t pool = map.pool_capacity();
+  // Release three handles; the next three inserts take their storage
+  // (most recently released first) and leave every survivor untouched.
+  std::vector<ObjectHandle*> released;
+  for (uint64_t k : {7u, 21u, 33u}) {
+    released.push_back(present[k]);
+    ASSERT_TRUE(map.Erase(k));
+    present.erase(k);
+  }
+  for (uint64_t k = 101; k <= 103; ++k) {
+    ObjectHandle* h = map.Insert(k, MakeHandle(k));
+    EXPECT_EQ(h, released.back()) << "key " << k;
+    released.pop_back();
+    EXPECT_EQ(h->rid.Packed(), k);
+    EXPECT_EQ(h->refcount, 0u);  // the inserted value, not the old one
+    present[k] = h;
+  }
+  EXPECT_EQ(map.pool_capacity(), pool);
+  ExpectContents(map, present, {7, 21, 33});
+  for (uint64_t k = 1; k <= 40; ++k) {
+    if (present.count(k) != 0) {
+      EXPECT_EQ(present[k]->refcount, k);
+    }
+  }
+}
+
+TEST(HandleMapTest, RepeatedClearAndRefillKeepsThePoolBounded) {
+  HandleMap map;
+  size_t pool = 0;
+  for (int round = 0; round < 30; ++round) {
+    std::unordered_map<uint64_t, ObjectHandle*> present;
+    // A different key set each round, same size.
+    for (uint64_t i = 0; i < 3000; ++i) {
+      uint64_t key = Rid(static_cast<uint16_t>(round), 1 + i / 50,
+                         static_cast<uint16_t>(i % 50))
+                         .Packed();
+      present[key] = map.Insert(key, MakeHandle(key));
+    }
+    const size_t filled = map.pool_capacity();
+    ASSERT_GE(filled, 3000u);
+    // Churn inside the round: erase a slice and insert as many new keys;
+    // the new handles take the released storage, so the pool stays put.
+    uint64_t n = 0;
+    for (auto it = present.begin(); it != present.end() && n < 500; ++n) {
+      ASSERT_TRUE(map.Erase(it->first));
+      it = present.erase(it);
+    }
+    for (uint64_t i = 0; i < 500; ++i) {
+      uint64_t key = Rid(static_cast<uint16_t>(round), 1000 + i / 50,
+                         static_cast<uint16_t>(i % 50))
+                         .Packed();
+      present[key] = map.Insert(key, MakeHandle(key));
+    }
+    ASSERT_EQ(map.pool_capacity(), filled) << "round " << round;
+    ExpectContents(map, present, {});
+    if (round == 0) pool = filled;
+    ASSERT_EQ(filled, pool) << "round " << round;
+    map.clear();
+    ASSERT_EQ(map.size(), 0u);
+    ASSERT_EQ(map.pool_capacity(), 0u);  // a cold restart frees the pool
+    for (const auto& [key, ptr] : present) {
+      ASSERT_EQ(map.Find(key), nullptr);
+    }
+  }
 }
 
 }  // namespace

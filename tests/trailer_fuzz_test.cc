@@ -1,11 +1,15 @@
 // Seeded stateful test of page-checksum trailer coherence. Random sequences
 // of in-place page writes from two client caches, fills, FlushAll, DropAll,
 // a scheduled server crash and update transactions (abort or commit) run
-// against one Database, with test-injected byte flips on coherent pages.
+// against one Database, with test-injected byte flips on coherent pages and
+// engine-injected write corruption (FaultSite::kPageWriteCorruption, which
+// flips a byte of a page right after its disk write stamped the trailer).
 // After every step:
 //  - no fill reports kCorruption unless the page carries an injected flip;
 //  - every flip of a coherent page fails its next fill with kCorruption;
 //    most flips hit pages whose verification DiskManager has memoized;
+//  - every injected write corruption fails its page's next fill with
+//    kCorruption;
 //  - every page whose trailer DiskManager does not mark stale verifies;
 //  - no page that DiskManager marks verified carries a flip.
 // Every operation's result is checked and tallied per operation kind, so a
@@ -31,9 +35,10 @@ namespace treebench {
 namespace {
 
 enum Op : int { kRead, kWrite, kNewPage, kFlush, kDrop, kFlip, kCrash,
-                kTxn, kNumOps };
+                kTxn, kWriteCorrupt, kNumOps };
 constexpr const char* kOpNames[kNumOps] = {
-    "read", "write", "new_page", "flush", "drop", "flip", "crash", "txn"};
+    "read", "write", "new_page", "flush", "drop", "flip", "crash", "txn",
+    "write_corrupt"};
 
 struct Tally {
   std::array<uint64_t, kNumOps> ops{};
@@ -41,6 +46,8 @@ struct Tally {
   uint64_t flips = 0;
   uint64_t verified_flips = 0;  // picked among memoized pages
   uint64_t flips_caught = 0;
+  uint64_t write_corruptions = 0;  // injected by WriteToDisk
+  uint64_t write_corruptions_caught = 0;
 
   std::string Summary() const {
     std::string s;
@@ -50,7 +57,9 @@ struct Tally {
     return s + "unavailable=" + std::to_string(unavailable) +
            " flips=" + std::to_string(flips) +
            " verified_flips=" + std::to_string(verified_flips) +
-           " caught=" + std::to_string(flips_caught);
+           " caught=" + std::to_string(flips_caught) +
+           " write_corruptions=" + std::to_string(write_corruptions) +
+           " write_caught=" + std::to_string(write_corruptions_caught);
   }
 };
 
@@ -102,7 +111,7 @@ class TrailerFuzz {
   void Step() {
     // Writes and reads dominate; the rest perturb cache and disk state.
     static constexpr std::array<uint64_t, kNumOps> kWeights = {
-        30, 30, 5, 6, 4, 10, 2, 5};
+        30, 30, 5, 6, 4, 10, 2, 5, 4};
     uint64_t total = 0;
     for (uint64_t w : kWeights) total += w;
     uint64_t draw = rng_.Uniform(total);
@@ -137,6 +146,9 @@ class TrailerFuzz {
         break;
       case kTxn:
         RunTransaction();
+        break;
+      case kWriteCorrupt:
+        WriteCorrupt();
         break;
     }
   }
@@ -175,6 +187,7 @@ class TrailerFuzz {
           << "flip of page " << page << " missed by its fill ("
           << st.ToString() << ") at " << Where();
       ++tally_.flips_caught;
+      if (flip->second.by_write) ++tally_.write_corruptions_caught;
       // Repair: the stored image matches its trailer again.
       db_.disk().RawPage(file_, page).value()[flip->second.offset] ^=
           flip->second.mask;
@@ -221,10 +234,52 @@ class TrailerFuzz {
       return;  // not coherent (or already flipped): nothing to detect
     }
     FlipRecord rec{static_cast<uint32_t>(rng_.Uniform(kPageChecksumOffset)),
-                   static_cast<uint8_t>(1 + rng_.Uniform(255))};
+                   static_cast<uint8_t>(1 + rng_.Uniform(255)), false};
     db_.disk().RawPage(file_, page).value()[rec.offset] ^= rec.mask;
     flips_.emplace(page, rec);
     ++tally_.flips;
+    DropCachedCopies(page);
+  }
+
+  // One page write reaches the disk corrupted. A first FlushAll leaves
+  // nothing dirty on the bound client or the server; the bound client then
+  // dirties one page, kPageWriteCorruption is scheduled for the next disk
+  // write, and a second FlushAll takes exactly that page down. WriteToDisk
+  // flips byte kPageSize / 2 with 0xA5 after stamping the trailer; the
+  // model records that flip, so the page's next fill must report
+  // kCorruption. (A corrupted page that a later write re-stamps holds the
+  // flip silently; settling first keeps that case out of the model.)
+  void WriteCorrupt() {
+    Status settled = db_.cache().FlushAll();
+    Expect(settled, "FlushAll");
+    const uint32_t page = RandomPage();
+    if (!settled.ok() || Access(page, /*write=*/true) == nullptr) return;
+    FaultInjector& faults = db_.sim().faults();
+    const uint64_t injected = faults.injected(FaultSite::kPageWriteCorruption);
+    faults.Schedule({FaultSite::kPageWriteCorruption,
+                     faults.ops(FaultSite::kPageWriteCorruption), 0.0, 1});
+    Expect(db_.cache().FlushAll(), "FlushAll");
+    ASSERT_EQ(faults.injected(FaultSite::kPageWriteCorruption), injected + 1)
+        << "scheduled write corruption did not fire at " << Where();
+    // The stored image of `page`, and of no other page the model thinks
+    // coherent, now fails its trailer.
+    const DiskManager& disk = db_.disk();
+    std::vector<uint32_t> corrupt;
+    for (uint32_t p = 0; p < disk.NumPages(file_); ++p) {
+      if (disk.TrailerStale(file_, p) || flips_.count(p) != 0) continue;
+      if (!VerifyPageChecksum(disk.RawPage(file_, p).value())) {
+        corrupt.push_back(p);
+      }
+    }
+    ASSERT_EQ(corrupt, std::vector<uint32_t>{page}) << Where();
+    flips_.emplace(page, FlipRecord{kPageSize / 2, 0xA5, true});
+    ++tally_.write_corruptions;
+    DropCachedCopies(page);
+  }
+
+  // Drops every cached copy of `page` (both clients and the server), so
+  // its next access fills from disk.
+  void DropCachedCopies(uint32_t page) {
     const uint64_t key = Key(page);
     LruPageCache* bound = db_.cache().BindClientCache(&clients_[0]);
     db_.cache().DiscardKeys({&key, 1});
@@ -285,6 +340,7 @@ class TrailerFuzz {
   struct FlipRecord {
     uint32_t offset;
     uint8_t mask;
+    bool by_write;  // injected by WriteToDisk rather than by Flip
   };
 
   // Declared first so they outlive the cache that binds them.
@@ -310,6 +366,7 @@ TEST(TrailerFuzzTest, RandomSequencesKeepTrailersHonest) {
     }
     EXPECT_GT(t.flips_caught, 0u) << t.Summary();
     EXPECT_GT(t.verified_flips, 0u) << t.Summary();
+    EXPECT_GT(t.write_corruptions_caught, 0u) << t.Summary();
     EXPECT_GT(fuzz.metrics().server_crashes, 0u) << t.Summary();
     if (::testing::Test::HasFailure()) break;
   }

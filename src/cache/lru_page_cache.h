@@ -16,9 +16,7 @@ namespace treebench {
 /// resident set, never preallocated to the capacity, with a free list for
 /// erased nodes) chained into an intrusive doubly linked LRU list by node
 /// index. An eviction reuses the victim's node. A FlatIndex maps page keys
-/// to node indices. Every lookup first checks the MRU node, so re-touching
-/// the page just touched (an attribute read right after the Get that
-/// faulted the page in) costs no hash probe.
+/// to node indices.
 class LruPageCache {
  public:
   /// Result of an insertion: the page that had to be evicted, if any.
@@ -37,11 +35,11 @@ class LruPageCache {
   uint32_t capacity() const { return capacity_; }
   uint32_t size() const { return static_cast<uint32_t>(index_.size()); }
 
-  bool Contains(uint64_t key) const { return Lookup(key) != kNil; }
+  bool Contains(uint64_t key) const { return index_.Find(key) != kNil; }
 
   /// If resident, promotes to MRU and returns true.
   bool Touch(uint64_t key) {
-    uint32_t n = Lookup(key);
+    uint32_t n = index_.Find(key);
     if (n == kNil) return false;
     if (n != head_) {
       Unlink(n);
@@ -57,18 +55,18 @@ class LruPageCache {
 
   /// Marks a resident page dirty. No-op if not resident.
   void MarkDirty(uint64_t key) {
-    uint32_t n = Lookup(key);
+    uint32_t n = index_.Find(key);
     if (n != kNil) nodes_[n].dirty = true;
   }
 
   bool IsDirty(uint64_t key) const {
-    uint32_t n = Lookup(key);
+    uint32_t n = index_.Find(key);
     return n != kNil && nodes_[n].dirty;
   }
 
   /// Clears the dirty bit of a resident page; returns whether it was dirty.
   bool ClearDirty(uint64_t key) {
-    uint32_t n = Lookup(key);
+    uint32_t n = index_.Find(key);
     if (n == kNil || !nodes_[n].dirty) return false;
     nodes_[n].dirty = false;
     return true;
@@ -107,12 +105,6 @@ class LruPageCache {
     uint32_t next;  // toward LRU; kNil at the tail (or the free-list link)
     bool dirty;
   };
-
-  /// Node index of `key`, or kNil.
-  uint32_t Lookup(uint64_t key) const {
-    if (head_ != kNil && nodes_[head_].key == key) return head_;
-    return index_.Find(key);
-  }
 
   void Unlink(uint32_t n) {
     Node& node = nodes_[n];

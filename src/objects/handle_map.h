@@ -3,8 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "src/common/flat_index.h"
 #include "src/storage/rid.h"
@@ -24,20 +28,22 @@ struct ObjectHandle {
 };
 
 /// Resident handles keyed by packed canonical rid. Handles live in a
-/// chunked pool (fixed-size arrays that never move) with a free list, and
-/// a FlatIndex maps each key to its handle's pool id, so a materialization
-/// costs no heap allocation once the pool has warmed up. An ObjectHandle*
-/// stays valid while its entry lives, across growth and across other
-/// entries' erasure; an erased handle's storage is reused by a later
-/// Insert, so the pool holds at most as many handles as were ever resident
-/// at once since the last clear(). Iteration order is not exposed: nothing
-/// may depend on it.
+/// std::deque pool (elements never move as it grows) with a free list, and
+/// a FlatIndex maps each key to its handle's index in the pool, so a
+/// materialization costs no heap allocation once the pool has warmed up.
+/// An ObjectHandle* stays valid while its entry lives, across growth and
+/// across other entries' erasure; an erased handle's storage is reused by a
+/// later Insert, so the pool holds at most as many handles as were ever
+/// resident at once since the last clear(). Under AddressSanitizer an
+/// erased handle stays poisoned until Insert hands it out again, so a use
+/// after Erase is reported rather than read from whichever object reuses
+/// the storage. Iteration order is not exposed: nothing may depend on it.
 class HandleMap {
  public:
   /// The handle stored under `key`, or nullptr.
-  ObjectHandle* Find(uint64_t key) const {
+  ObjectHandle* Find(uint64_t key) {
     uint32_t id = index_.Find(key);
-    return id == FlatIndex::kNone ? nullptr : At(id);
+    return id == FlatIndex::kNone ? nullptr : &pool_[id].handle;
   }
 
   /// Stores a copy of `handle` under `key`, which must not be present.
@@ -47,16 +53,14 @@ class HandleMap {
     if (!free_.empty()) {
       id = free_.back();
       free_.pop_back();
+      Unpoison(&pool_[id]);
+      pool_[id].handle = handle;
     } else {
-      id = next_id_++;
-      if ((id >> kChunkShift) == chunks_.size()) {
-        chunks_.push_back(std::make_unique<ObjectHandle[]>(kChunkHandles));
-      }
+      id = static_cast<uint32_t>(pool_.size());
+      pool_.push_back(Pooled{handle});
     }
     index_.Insert(key, id);
-    ObjectHandle* h = At(id);
-    *h = handle;
-    return h;
+    return &pool_[id].handle;
   }
 
   /// Releases the handle stored under `key` to the pool. Returns false if
@@ -65,36 +69,49 @@ class HandleMap {
     uint32_t id = index_.Erase(key);
     if (id == FlatIndex::kNone) return false;
     free_.push_back(id);
+    Poison(&pool_[id]);
     return true;
   }
 
   size_t size() const { return index_.size(); }
 
-  /// Handles the pool can hold without allocating another chunk.
-  size_t pool_capacity() const { return chunks_.size() * kChunkHandles; }
-
   /// Releases every handle and frees the pool (a cold restart; what runs
   /// next may need the memory more than the next refill). Keeps the
   /// index's slot array for refilling.
   void clear() {
+    for (uint32_t id : free_) Unpoison(&pool_[id]);
     index_.clear();
-    free_ = {};
-    chunks_.clear();
-    next_id_ = 0;
+    free_.clear();
+    pool_.clear();
   }
 
  private:
-  static constexpr int kChunkShift = 8;
-  static constexpr uint32_t kChunkHandles = 1u << kChunkShift;
+#if defined(__SANITIZE_ADDRESS__)
+  // ASan poisons in 8-byte granules and cannot poison the head of a granule
+  // whose tail is live, so under ASan each pooled handle fills whole
+  // granules and Erase can poison all of it.
+  static constexpr size_t kPoolAlign = 8;
+#else
+  static constexpr size_t kPoolAlign = alignof(ObjectHandle);
+#endif
+  struct alignas(kPoolAlign) Pooled {
+    ObjectHandle handle;
+  };
 
-  ObjectHandle* At(uint32_t id) const {
-    return &chunks_[id >> kChunkShift][id & (kChunkHandles - 1)];
+  static void Poison([[maybe_unused]] Pooled* p) {
+#if defined(__SANITIZE_ADDRESS__)
+    __asan_poison_memory_region(p, sizeof(*p));
+#endif
+  }
+  static void Unpoison([[maybe_unused]] Pooled* p) {
+#if defined(__SANITIZE_ADDRESS__)
+    __asan_unpoison_memory_region(p, sizeof(*p));
+#endif
   }
 
   FlatIndex index_;
-  std::vector<std::unique_ptr<ObjectHandle[]>> chunks_;
+  std::deque<Pooled> pool_;     // indexed by the ids in index_
   std::vector<uint32_t> free_;  // released ids, reused last-in first-out
-  uint32_t next_id_ = 0;        // ids below this were handed out
 };
 
 }  // namespace treebench
